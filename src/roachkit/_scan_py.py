@@ -5,6 +5,12 @@ and k variables, valuation index j assigns variable v true at world i exactly
 when bit v*n+i of j is set.  Each subformula is evaluated once per world as a
 chunk-sized bitvector over all valuation indices, so the inner loop runs on
 CPython's C-speed big-int bitwise ops.
+
+Chunks hold 2^16 valuations by default: an 8 KB int stays in cache, where
+larger ones do not, and more, smaller chunks add interpreter overhead.  Bits
+of the index below the chunk size vary inside a chunk and come from a
+pattern table built by repeating a byte block; higher bits are constant
+across a chunk.
 """
 
 from __future__ import annotations
@@ -17,21 +23,27 @@ _pattern_cache: dict[int, list[int]] = {}
 
 
 def _patterns(chunk_bits: int) -> list[int]:
+    """Bit j of pattern t is bit t of j, for j below ``chunk_bits`` (a power
+    of two).  Built from a repeated byte block, so no big-int division."""
     pats = _pattern_cache.get(chunk_bits)
     if pats is None:
+        n_bytes = (chunk_bits + 7) // 8
+        full = (1 << chunk_bits) - 1
         pats = []
         t = 0
         while (1 << t) < chunk_bits:
-            period = 1 << (t + 1)
-            block = ((1 << (1 << t)) - 1) << (1 << t)
-            repunit = ((1 << chunk_bits) - 1) // ((1 << period) - 1)
-            pats.append(block * repunit)
+            if t < 3:
+                block = (b"\xaa", b"\xcc", b"\xf0")[t]
+            else:
+                half = 1 << (t - 3)
+                block = bytes(half) + b"\xff" * half
+            pats.append(int.from_bytes(block * (n_bytes // len(block)), "little") & full)
             t += 1
         _pattern_cache[chunk_bits] = pats
     return pats
 
 
-def find_refuting_index(up, n_worlds, program, chunk_log2=20):
+def find_refuting_index(up, n_worlds, program, chunk_log2=16):
     """Index of the least valuation refuting the program's formula on the
     frame, or -1 when the formula is valid."""
     kn = program.n_vars * n_worlds
@@ -43,6 +55,7 @@ def find_refuting_index(up, n_worlds, program, chunk_log2=20):
     last_use = program.last_use
     up_bits = [tuple((m >> i) & 1 for i in range(n_worlds)) for m in up]
 
+    # every slot value lies in [0, full], so its complement is ``full ^ x``
     base = 0
     while base < total_bits:
         slots = {}
@@ -61,7 +74,7 @@ def find_refuting_index(up, n_worlds, program, chunk_log2=20):
                 vec = [0] * n_worlds
             elif op == OP_NOT:
                 src = slots[a]
-                vec = [full & ~src[i] for i in range(n_worlds)]
+                vec = [full ^ src[i] for i in range(n_worlds)]
             elif op == OP_AND:
                 x, y = slots[a], slots[b]
                 vec = [x[i] & y[i] for i in range(n_worlds)]
@@ -70,7 +83,7 @@ def find_refuting_index(up, n_worlds, program, chunk_log2=20):
                 vec = [x[i] | y[i] for i in range(n_worlds)]
             elif op == OP_IMP:
                 x, y = slots[a], slots[b]
-                vec = [(full & ~x[i]) | y[i] for i in range(n_worlds)]
+                vec = [(full ^ x[i]) | y[i] for i in range(n_worlds)]
             elif op == OP_BOX:
                 src = slots[a]
                 vec = []
@@ -104,7 +117,7 @@ def find_refuting_index(up, n_worlds, program, chunk_log2=20):
         for i in range(n_worlds):
             acc &= result[i]
         if acc != full:
-            missing = full & ~acc
+            missing = full ^ acc
             return base + ((missing & -missing).bit_length() - 1)
         base += chunk_bits
     return -1

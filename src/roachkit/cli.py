@@ -348,7 +348,7 @@ def main(argv=None) -> int:
     except RoachkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:

@@ -506,4 +506,7 @@ def frame_from_json(text: str) -> Frame:
             raise FrameFormatError(f'"le" entries must be [u, w] pairs, got {entry!r}')
         pairs.append(tuple(entry))
     labels = data.get("labels")
+    if labels is not None and (not isinstance(labels, list) or len(labels) != size
+                               or not all(isinstance(x, str) for x in labels)):
+        raise FrameFormatError(f'"labels" must be a list of {size} strings')
     return normalize_frame(pairs, size, labels=labels, strict=bool(data.get("strict")))

@@ -103,10 +103,6 @@ def cnf_compare(a: Ordinal, b: Ordinal) -> int:
     return 0 if a == b else 1
 
 
-def cnf_add(a: Ordinal, b: Ordinal) -> Ordinal:
-    return a + b
-
-
 def tear_off(gamma: Ordinal) -> tuple[Ordinal, Ordinal]:
     """Split a non-compact ordinal as (gamma' + 1) + w^alpha1 by removing one
     copy of the least occurring power; errors on zero or compact input."""

@@ -26,12 +26,10 @@ from .frames import (
     worlds_of,
 )
 from .morphisms import (
-    Permissibility,
     PMorphism,
     check_p_morphism,
     collapse,
     find_onto_p_morphism,
-    is_permissible,
     skeleton_morphism,
 )
 
@@ -451,10 +449,3 @@ def minimal_forbidden_witness(frame: Frame) -> ForbiddenWitness:
     final_sub = _tall_two_fork_map(sub_q, emb_q.index(q))
     final = {emb_q[i]: final_sub[i] for i in range(sub_q.size)}
     return _pullback_witness(frame, [pm1], final, "F1", q)
-
-
-def permissible_forbidden(frame: Frame, which: str, ceiling: int = 10) -> Permissibility | None:
-    """Search-based permissibility of a named forbidden configuration."""
-    if which not in FORBIDDEN_NAMES:
-        raise PreconditionError(f"which must be one of {FORBIDDEN_NAMES}")
-    return is_permissible(builtin(which), frame, ceiling=ceiling)

@@ -105,6 +105,15 @@ def _decode_valuation(index: int, variables, n_worlds: int) -> dict:
     return valuation
 
 
+# (formula, compiler, program) of the latest find_refutation call.  A query
+# such as decide_lr2 scans one formula on many frames, so this one entry
+# saves recompiling it per frame.  Formulas are frozen, and the strong
+# reference keeps the cached formula's id from being reused; keying on the
+# compiler as well picks up a replaced ``compile_formula``.  The entry is one
+# tuple so that a thread never reads a formula with another's program.
+_last_compiled = (None, None, None)
+
+
 def find_refutation(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET, backend=None):
     """Least refuting (valuation, world) pair, or None when valid.
 
@@ -112,7 +121,11 @@ def find_refutation(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET,
     budget; callers holding a rooted target can fall back to the Fine-Jankov
     route through the morphism search instead.
     """
-    program = compile_formula(phi)
+    global _last_compiled
+    cached_phi, cached_compiler, program = _last_compiled
+    if phi is not cached_phi or compile_formula is not cached_compiler:
+        program = compile_formula(phi)
+        _last_compiled = (phi, compile_formula, program)
     total = 1 << (program.n_vars * frame.size)
     if total > budget:
         raise BudgetExceededError(

@@ -158,6 +158,21 @@ def test_domain_error_exit_code(capsys):
     assert code == 1
 
 
+def test_unreadable_frame_path_exits_1(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "check", str(tmp_path))  # a directory
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    code, _, err = run_cli(capsys, "check", str(tmp_path / "missing.json"))
+    assert code == 1 and err.startswith("error:")
+
+
+def test_bad_labels_exit_1(tmp_path, capsys):
+    path = tmp_path / "frame.json"
+    path.write_text('{"size": 2, "le": [[0, 1]], "labels": 5}')
+    code, _, err = run_cli(capsys, "check", str(path))
+    assert code == 1 and "labels" in err
+
+
 def test_bare_builtin_names_resolve(capsys):
     code, out, _ = run_cli(capsys, "permissible", "--config", "F1", "--host", "two_fork")
     assert code == 0 and out.strip() == "none"

@@ -246,3 +246,12 @@ def test_frame_json_bad_payloads():
         F.frame_from_json('{"size": 2, "le": [[0, "x"]]}')
     with pytest.raises(FrameFormatError):
         F.frame_from_json('{"size": true, "le": []}')
+
+
+def test_frame_json_labels_must_be_a_list_of_size_strings():
+    f = F.frame_from_json('{"size": 2, "le": [[0, 1]], "labels": ["r", "m"]}')
+    assert f.labels == ("r", "m")
+    assert F.frame_from_json('{"size": 2, "le": [[0, 1]], "labels": null}').labels is None
+    for labels in ('5', '"ab"', '["r"]', '["r", "m", "x"]', '["r", 1]', '{"0": "r", "1": "m"}', '[]'):
+        with pytest.raises(FrameFormatError):
+            F.frame_from_json('{"size": 2, "le": [[0, 1]], "labels": %s}' % labels)

@@ -183,3 +183,122 @@ def test_backends_agree():
         assert pure == fast == small_chunks
         checked += 1
     assert checked == 150
+
+
+def test_pattern_table_bits_are_index_bits():
+    # bit j of pattern t is bit t of j, for every chunk size the scanner uses
+    for log2 in range(17):
+        chunk_bits = 1 << log2
+        pats = _scan_py._patterns(chunk_bits)
+        assert len(pats) == log2
+        for t, pat in enumerate(pats):
+            bits = format(pat, f"0{chunk_bits}b")[::-1]
+            assert bits == "".join("1" if (j >> t) & 1 else "0" for j in range(chunk_bits))
+    rng = random.Random(20)
+    pats = _scan_py._patterns(1 << 20)
+    assert len(pats) == 20 and all(pat >> (1 << 20) == 0 for pat in pats)
+    for j in [0, 1, (1 << 20) - 1] + [rng.randrange(1 << 20) for _ in range(64)]:
+        assert [(pat >> j) & 1 for pat in pats] == [(j >> t) & 1 for t in range(20)]
+
+
+def _random_formula(rng, depth, names):
+    if depth == 0 or rng.random() < 0.25:
+        return fm.Var(rng.choice(names))
+    kind = rng.randrange(6)
+    if kind == 0:
+        return fm.Not(_random_formula(rng, depth - 1, names))
+    if kind == 1:
+        return fm.Box(_random_formula(rng, depth - 1, names))
+    if kind == 2:
+        return fm.Diamond(_random_formula(rng, depth - 1, names))
+    left = _random_formula(rng, depth - 1, names)
+    right = _random_formula(rng, depth - 1, names)
+    return [fm.And, fm.Or, fm.Implies][kind - 3](left, right)
+
+
+def _refutes(frame, phi, variables, index):
+    valuation = S._decode_valuation(index, variables, frame.size)
+    return S.extension_mask(S.Model(frame, valuation), phi) != (1 << frame.size) - 1
+
+
+def test_chunked_scan_matches_naive_oracle():
+    # small spaces, so chunks of 2^0, 2^3 and 2^6 split them and the least
+    # refuting index often lies past the first chunk; least-ness is checked
+    # valuation by valuation
+    rng = random.Random(9)
+    frames = [f for n in range(1, 5) for f in F.enumerate_frames(n, "rooted")]
+    cases = [(f, phi) for f in frames for phi in
+             (fm.axiom("ga"), fm.axiom("grz"), fm.axiom("bd", 2), fm.axiom("bd", 3))]
+    for _ in range(120):
+        names = [f"p{i}" for i in range(rng.randint(1, 3))]
+        cases.append((rng.choice(frames), _random_formula(rng, rng.randint(1, 4), names)))
+    past_first_chunk = {0: 0, 3: 0, 6: 0}
+    for f, phi in cases:
+        program = compile_formula(phi)
+        if program.n_vars * f.size > 10:
+            continue
+        index = _scan_py.find_refuting_index(f.up, f.size, program)
+        for log2 in (0, 3, 6, 16):
+            assert _scan_py.find_refuting_index(f.up, f.size, program, log2) == index
+        assert (index < 0) == naive_frame_validates(f, phi)
+        if index >= 0:
+            assert _refutes(f, phi, program.variables, index)
+            assert not any(_refutes(f, phi, program.variables, j) for j in range(index))
+            for log2 in past_first_chunk:
+                past_first_chunk[log2] += index >= 1 << log2
+    assert all(count >= 5 for count in past_first_chunk.values()), past_first_chunk
+
+
+def test_chunked_scan_past_the_first_2_16_chunk():
+    # chi_F1 has 4 variables, so five-world frames span 2^20 valuations: the
+    # size the decision search scans in 2^16-valuation chunks.  A single
+    # 2^20 chunk is the reference; the naive oracle is too slow at this size.
+    chi = fm.fine_jankov(builtin("F1"))
+    program = compile_formula(chi)
+    cases = {
+        (31, 10, 20, 8, 16): 344193,
+        (31, 18, 12, 12, 16): 409665,
+        (31, 30, 20, 8, 16): 278658,
+    }
+    for up, expected in cases.items():
+        assert _scan_py.find_refuting_index(up, 5, program, 20) == expected
+        for log2 in (12, 16):
+            assert _scan_py.find_refuting_index(up, 5, program, log2) == expected
+        assert _refutes(F.Frame(5, up), chi, program.variables, expected)
+    roach5 = next(F.enumerate_frames(5, "2-roach"))
+    assert _scan_py.find_refuting_index(roach5.up, 5, program) == -1
+    assert _scan_py.find_refuting_index(roach5.up, 5, program, 20) == -1
+
+
+def test_find_refutation_recompiles_for_every_new_formula(monkeypatch):
+    frame = builtin("F1")
+    texts = ["[]p -> p", "p -> []p", "<>q -> []r", "(p & q) -> <>r", "p -> []p", "q | ~[]q"]
+    formulas = [fm.parse(text) for text in texts]
+    formulas += [fm.parse(text) for text in texts]  # equal but distinct objects
+    formulas += [formulas[1], formulas[1], formulas[2], formulas[1]]
+    expected = []
+    for phi in formulas:
+        program = compile_formula(phi)
+        index = _scan_py.find_refuting_index(frame.up, frame.size, program)
+        if index < 0:
+            expected.append(None)
+            continue
+        valuation = S._decode_valuation(index, program.variables, frame.size)
+        missing = ((1 << frame.size) - 1) ^ S.extension_mask(S.Model(frame, valuation), phi)
+        expected.append((valuation, (missing & -missing).bit_length() - 1))
+
+    scanned = []
+    original_scan = S._scan
+
+    def recording_scan(up, n_worlds, program, backend=None):
+        scanned.append(program)
+        return original_scan(up, n_worlds, program, backend)
+
+    monkeypatch.setattr(S, "_scan", recording_scan)
+    for phi, want in zip(formulas, expected):
+        assert S.find_refutation(frame, phi) == want
+        assert scanned[-1] == compile_formula(phi)
+    # a replaced compiler is used at once, even for the cached formula
+    assert expected[-1] is not None
+    monkeypatch.setattr(S, "compile_formula", lambda phi: compile_formula(fm.parse("[]p -> p")))
+    assert S.find_refutation(frame, formulas[-1]) is None
