@@ -46,13 +46,6 @@ def resolve_frame(arg: str, strict: bool = False) -> F.Frame:
     return frame
 
 
-def _emit_frame(frame: F.Frame) -> dict:
-    data = {"size": frame.size, "le": [[u, w] for u, w in frame.pairs()]}
-    if frame.labels:
-        data["labels"] = list(frame.labels)
-    return data
-
-
 def cmd_check(args) -> int:
     frame = resolve_frame(args.frame, args.strict)
     memberships = {}
@@ -92,7 +85,7 @@ def cmd_witness(args) -> int:
         "generator": witness.generator,
         "embedding": list(witness.embedding),
         "map": list(witness.morphism.mapping),
-        "target": _emit_frame(witness.morphism.target),
+        "target": F.frame_to_dict(witness.morphism.target),
     }
     if args.json:
         print(json.dumps(payload))
@@ -180,7 +173,7 @@ def cmd_unravel(args) -> int:
         result = construct.roach_to_willow(frame)
     else:
         result = construct.unravel_to_quasi_tree(frame)
-    print(json.dumps({"tree": _emit_frame(result.tree), "map": list(result.morphism.mapping)}))
+    print(json.dumps({"tree": F.frame_to_dict(result.tree), "map": list(result.morphism.mapping)}))
     return 0
 
 
@@ -190,7 +183,7 @@ def cmd_decide(args) -> int:
     if isinstance(verdict, decision.Refuted):
         payload = {
             "verdict": "refuted",
-            "frame": _emit_frame(verdict.model.frame),
+            "frame": F.frame_to_dict(verdict.model.frame),
             "valuation": {k: sorted(v) for k, v in verdict.model.valuation.items()},
             "world": verdict.world,
         }
@@ -213,7 +206,7 @@ def cmd_enumerate(args) -> int:
     for frame in F.enumerate_frames(args.size, args.filter):
         count += 1
         if not args.count:
-            print(json.dumps(_emit_frame(frame)))
+            print(json.dumps(F.frame_to_dict(frame)))
     if args.count:
         print(count)
     return 0

@@ -314,62 +314,106 @@ def generated_subframe(frame: Frame, w: int) -> tuple[Frame, tuple[int, ...]]:
     return subframe(frame, worlds_of(frame.up[w]))
 
 
-def _invariant_keys(frame: Frame) -> list:
-    down = down_masks(frame)
-    cmasks = cluster_masks(frame)
-    depths = depth_vector(frame)
-    keys = [
-        (depths[w], frame.up[w].bit_count(), down[w].bit_count(), cmasks[w].bit_count())
-        for w in frame.worlds()
-    ]
-    # refine by neighbour key multisets
-    for _ in range(2):
-        new = []
-        for w in frame.worlds():
-            above = tuple(sorted(keys[v] for v in worlds_of(frame.up[w])))
-            below = tuple(sorted(keys[v] for v in worlds_of(down[w])))
-            new.append((keys[w], above, below))
-        keys = new
-    return keys
+def _ranks(keys: list) -> list[int]:
+    """Replace comparable keys by their positions among the distinct keys."""
+    position = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return [position[key] for key in keys]
 
 
-def _encode(frame: Frame, perm) -> tuple:
-    # perm[old] = new position
-    n = frame.size
-    rel = 0
-    for u in frame.worlds():
-        mask = frame.up[u]
-        while mask:
-            w = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            rel |= 1 << (perm[u] * n + perm[w])
-    return rel
+def _twin_placements(classes: list, slots: list):
+    """Every placement of the twin classes on the slots, one per multiset
+    arrangement: each class takes its slots in increasing order, members in
+    index order.  Yields ``(world, slot)`` pairs."""
+    if not classes:
+        yield ()
+        return
+    first, rest = classes[0], classes[1:]
+    for chosen in itertools.combinations(slots, len(first)):
+        remaining = [s for s in slots if s not in chosen]
+        for tail in _twin_placements(rest, remaining):
+            yield tuple(zip(first, chosen)) + tail
 
 
 @lru_cache(maxsize=None)
 def canonical_key(frame: Frame):
-    """Isomorphism-invariant key: minimal relation encoding over all
-    invariant-respecting relabelings."""
-    keys = _invariant_keys(frame)
-    groups = {}
-    for w in frame.worlds():
-        groups.setdefault(keys[w], []).append(w)
-    ordered_groups = [groups[k] for k in sorted(groups)]
-    offsets = []
-    off = 0
-    for g in ordered_groups:
-        offsets.append(off)
-        off += len(g)
+    """Isomorphism-invariant key: ``(size, code)`` where ``code`` is the least
+    relation encoding (bit ``perm[u] * size + perm[w]`` for each ``u <= w``)
+    over all relabelings ``perm`` that place the worlds group by group, in
+    the order of an invariant refined twice by neighbour multisets.
+
+    Twins, two worlds of a group with the same up and down sets outside the
+    pair (cluster mates, same-neighbour antichains), are never permuted among
+    themselves: swapping them is an automorphism and leaves every encoding
+    unchanged.  Symmetry that is not twin symmetry is still tried
+    exhaustively, so the cost can grow factorially on such frames.
+    """
+    n = frame.size
+    up = frame.up
+    succ = [worlds_of(mask) for mask in up]
+    pred = [[] for _ in range(n)]
+    down = [0] * n
+    for u in range(n):
+        for w in succ[u]:
+            down[w] |= 1 << u
+            pred[w].append(u)
+    cluster = [up[w] & down[w] for w in range(n)]
+    # depth: longest strictly ascending chain of clusters; a strict
+    # successor has a smaller upset, so it is finished first
+    up_size = [mask.bit_count() for mask in up]
+    depth = [0] * n
+    for w in sorted(range(n), key=up_size.__getitem__):
+        best = 0
+        for v in succ[w]:
+            if not (cluster[w] >> v) & 1 and depth[v] > best:
+                best = depth[v]
+        depth[w] = best + 1
+    rank = _ranks([(depth[w], up_size[w], len(pred[w]), cluster[w].bit_count()) for w in range(n)])
+    count = max(rank) + 1
+    for _ in range(2):
+        if count == n:
+            break
+        at = rank.__getitem__
+        rank = _ranks([(rank[w], tuple(sorted(map(at, succ[w]))), tuple(sorted(map(at, pred[w]))))
+                       for w in range(n)])
+        # a round that splits no group leaves every rank as it was, and so
+        # would every later round
+        if max(rank) + 1 == count:
+            break
+        count = max(rank) + 1
+    groups = [[] for _ in range(count)]
+    for w in range(n):
+        groups[rank[w]].append(w)
+    # a group holds no strictly comparable pair (depth is part of the
+    # invariant), so its twins are cluster mates, or incomparable worlds
+    # with equal upsets and downsets once each drops itself
+    perm = [0] * n
+    choices = []
+    offset = 0
+    for group in groups:
+        twins = {}
+        for w in group:
+            c = cluster[w]
+            twins.setdefault((up[w] ^ c, down[w] ^ c, c if c & (c - 1) else 0), []).append(w)
+        slots = range(offset, offset + len(group))
+        offset += len(group)
+        if len(twins) == 1:
+            for w, slot in zip(group, slots):
+                perm[w] = slot
+        else:
+            choices.append(list(_twin_placements(list(twins.values()), list(slots))))
     best = None
-    for placements in itertools.product(*(itertools.permutations(g) for g in ordered_groups)):
-        perm = [0] * frame.size
-        for gi, placed in enumerate(placements):
-            for slot, old in enumerate(placed):
-                perm[old] = offsets[gi] + slot
-        enc = _encode(frame, perm)
+    for placements in itertools.product(*choices):
+        for placed in placements:
+            for w, slot in placed:
+                perm[w] = slot
+        enc = 0
+        for u in range(n):
+            row = perm[u] * n
+            for w in succ[u]:
+                enc |= 1 << (row + perm[w])
         if best is None or enc < best:
             best = enc
-    return (frame.size, best)
+    return (n, best)
 
 
 def are_isomorphic(f: Frame, g: Frame) -> bool:
@@ -482,11 +526,17 @@ def enumerate_frames(n: int, filter_name: str = "all", ceiling: int = ENUMERATIO
     yield from _enumerate_cached(n, filter_name)
 
 
-def frame_to_json(frame: Frame) -> str:
+def frame_to_dict(frame: Frame) -> dict:
+    """The frame-JSON object: ``size``, every related pair ``le``, and
+    ``labels`` when the frame has them."""
     data = {"size": frame.size, "le": [[u, w] for u, w in frame.pairs()]}
     if frame.labels:
         data["labels"] = list(frame.labels)
-    return json.dumps(data)
+    return data
+
+
+def frame_to_json(frame: Frame) -> str:
+    return json.dumps(frame_to_dict(frame))
 
 
 def frame_from_json(text: str) -> Frame:

@@ -53,6 +53,44 @@ def naive_preorder_classes(n):
     return reps
 
 
+def naive_canonical_key(frame):
+    """The canonical key by its definition: per-world invariants (depth,
+    upset, downset and cluster sizes) refined twice by the sorted invariants
+    of the upset and of the downset, then the least relation encoding over
+    every relabeling that permutes each invariant group within its slots."""
+    n = frame.size
+    le = [[frame.le(u, w) for w in range(n)] for u in range(n)]
+    depths = {}
+
+    def depth(w):
+        if w not in depths:
+            strict = [v for v in range(n) if le[w][v] and not le[v][w]]
+            depths[w] = 1 + max((depth(v) for v in strict), default=0)
+        return depths[w]
+
+    keys = [(depth(w), sum(le[w]), sum(le[u][w] for u in range(n)),
+             sum(le[w][v] and le[v][w] for v in range(n))) for w in range(n)]
+    for _ in range(2):
+        keys = [(keys[w], tuple(sorted(keys[v] for v in range(n) if le[w][v])),
+                 tuple(sorted(keys[v] for v in range(n) if le[v][w]))) for w in range(n)]
+    groups = [[w for w in range(n) if keys[w] == key] for key in sorted(set(keys))]
+    offsets = [sum(len(g) for g in groups[:i]) for i in range(len(groups))]
+    best = None
+    for placements in itertools.product(*(itertools.permutations(g) for g in groups)):
+        perm = [0] * n
+        for offset, placed in zip(offsets, placements):
+            for slot, w in enumerate(placed):
+                perm[w] = offset + slot
+        enc = 0
+        for u in range(n):
+            for w in range(n):
+                if le[u][w]:
+                    enc |= 1 << (perm[u] * n + perm[w])
+        if best is None or enc < best:
+            best = enc
+    return (n, best)
+
+
 def naive_onto_p_morphisms(source, target):
     """All onto p-morphisms, by filtering every possible map."""
     found = []

@@ -1,0 +1,113 @@
+"""Canonical keys and enumeration order: exactness against the naive oracle,
+stability of the enumeration, and cost on twin-heavy frames."""
+
+import hashlib
+import json
+import random
+import time
+
+import pytest
+
+from conftest import naive_canonical_key
+from roachkit import frames as F
+
+# SHA-256 of json.dumps([(f.size, f.up) for n in 1..6 for f in
+# enumerate_frames(n)]): every class representative and its position.
+# decide_lr2 tries frames in this order, so a change here changes verdicts.
+ENUMERATION_SHA256 = "3b5e37f8d54ecf2157eb6d798a03b12c4d32211571b4febc1247c5b5f9bf9558"
+
+
+def relabel(frame, perm):
+    up = [0] * frame.size
+    for u, w in frame.pairs():
+        up[perm[u]] |= 1 << perm[w]
+    return F.Frame(frame.size, tuple(up))
+
+
+def fresh_key(frame):
+    """canonical_key computed now, not read from the cache."""
+    return F.canonical_key.__wrapped__(frame)
+
+
+def star(maxima):
+    """A root below an antichain of ``maxima`` worlds."""
+    return F.normalize_frame([(0, m) for m in range(1, maxima + 1)], maxima + 1)
+
+
+def cluster(size):
+    return F.normalize_frame([(u, (u + 1) % size) for u in range(size)], size)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_canonical_key_matches_oracle_on_every_class(n):
+    for f in F.enumerate_frames(n):
+        assert fresh_key(f) == naive_canonical_key(f)
+
+
+def test_canonical_key_matches_oracle_on_seven_world_sample():
+    sample = random.Random(7).sample(list(F.enumerate_frames(7, ceiling=7)), 300)
+    for f in sample:
+        assert fresh_key(f) == naive_canonical_key(f)
+
+
+def test_canonical_key_invariant_under_random_relabeling():
+    rng = random.Random(11)
+    classes = [f for n in range(2, 7) for f in F.enumerate_frames(n)]
+    for _ in range(1500):
+        f = rng.choice(classes)
+        perm = list(range(f.size))
+        rng.shuffle(perm)
+        g = relabel(f, perm)
+        assert fresh_key(g) == F.canonical_key(f) == naive_canonical_key(g)
+
+
+def test_canonical_key_on_clusters_and_twin_antichains():
+    rng = random.Random(3)
+    shapes = [
+        # root cluster {0,1} below three twin maxima
+        F.normalize_frame([(0, 1), (1, 0), (0, 2), (0, 3), (0, 4)], 5),
+        # two incomparable 2-clusters with the same neighbours: swapping the
+        # clusters is an automorphism but no two worlds are twins
+        F.normalize_frame([(1, 2), (2, 1), (3, 4), (4, 3), (0, 1), (0, 3), (1, 5), (3, 5)], 6),
+        # a 3-cluster and a twin pair above a root, below a common top
+        F.normalize_frame([(0, 1), (1, 2), (2, 3), (3, 1), (0, 4), (0, 5), (1, 6), (4, 6), (5, 6)], 7),
+        # twin antichains at two depths with distinct neighbours
+        F.normalize_frame([(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)], 7),
+    ]
+    for _ in range(40):
+        # random cluster sizes over a random small poset
+        poset = rng.choice(F._posets(rng.randint(2, 4)))
+        sizes = tuple(rng.randint(1, 3) for _ in range(poset.size))
+        shapes.append(F._expand(poset, sizes))
+    for f in shapes:
+        expected = naive_canonical_key(f)
+        for _ in range(5):
+            perm = list(range(f.size))
+            rng.shuffle(perm)
+            assert fresh_key(relabel(f, perm)) == expected
+
+
+def test_enumeration_order_is_pinned():
+    data = [(f.size, f.up) for n in range(1, 7) for f in F.enumerate_frames(n)]
+    assert hashlib.sha256(json.dumps(data).encode()).hexdigest() == ENUMERATION_SHA256
+
+
+@pytest.mark.parametrize("k,expected", [(1, 1), (2, 2), (3, 5), (4, 16), (5, 63), (6, 318)])
+def test_poset_class_counts(k, expected):
+    # OEIS A000112
+    assert len(F._posets(k)) == expected
+    assert all(F.classify_frame(p).partial_order for p in F._posets(k))
+
+
+@pytest.mark.parametrize("frame", [star(12), cluster(10)], ids=["star12", "cluster10"])
+def test_twin_symmetry_costs_nothing(frame):
+    # both frames have 12! or 10! invariant-respecting relabelings, all of
+    # them automorphisms made of twin swaps
+    start = time.perf_counter()
+    key = fresh_key(frame)
+    assert time.perf_counter() - start < 1.0
+    perm = list(range(frame.size))
+    random.Random(5).shuffle(perm)
+    start = time.perf_counter()
+    assert fresh_key(relabel(frame, perm)) == key
+    assert time.perf_counter() - start < 1.0
