@@ -111,16 +111,38 @@ def normalize_frame(pairs, size, labels=None, strict=False) -> Frame:
     return Frame(size, closed, tuple(labels) if labels else None)
 
 
+def _order_data(up: tuple[int, ...]):
+    """One pass over the upsets: per world, its successors and predecessors
+    (as world lists), its down mask, its cluster mask and its depth, the
+    longest strictly ascending chain of clusters from it.
+
+    Uncached, so that callers who see a frame once (enumeration candidates
+    in ``canonical_key``) fill no cache; the cached per-frame views are
+    ``down_masks``, ``cluster_masks`` and ``depth_vector``.
+    """
+    n = len(up)
+    succ = [worlds_of(mask) for mask in up]
+    pred = [[] for _ in range(n)]
+    down = [0] * n
+    for u in range(n):
+        for w in succ[u]:
+            down[w] |= 1 << u
+            pred[w].append(u)
+    cluster = [up[w] & down[w] for w in range(n)]
+    # a strict successor has a smaller upset, so it is finished first
+    depth = [0] * n
+    for w in sorted(range(n), key=lambda w: len(succ[w])):
+        best = 0
+        for v in succ[w]:
+            if not (cluster[w] >> v) & 1 and depth[v] > best:
+                best = depth[v]
+        depth[w] = best + 1
+    return succ, pred, down, cluster, depth
+
+
 @lru_cache(maxsize=None)
 def down_masks(frame: Frame) -> tuple[int, ...]:
-    down = [0] * frame.size
-    for u in frame.worlds():
-        mask = frame.up[u]
-        while mask:
-            w = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            down[w] |= 1 << u
-    return tuple(down)
+    return tuple(_order_data(frame.up)[2])
 
 
 def mask_of(worlds) -> int:
@@ -176,8 +198,7 @@ def order_query(frame: Frame, seed, direction: str) -> set[int]:
 @lru_cache(maxsize=None)
 def cluster_masks(frame: Frame) -> tuple[int, ...]:
     """Per-world bitmask of its cluster (mutual-reachability class)."""
-    down = down_masks(frame)
-    return tuple(frame.up[w] & down[w] for w in frame.worlds())
+    return tuple(_order_data(frame.up)[3])
 
 
 def clusters_and_skeleton(frame: Frame):
@@ -211,19 +232,7 @@ def clusters_and_skeleton(frame: Frame):
 @lru_cache(maxsize=None)
 def depth_vector(frame: Frame) -> tuple[int, ...]:
     """Depth of each world: longest strictly ascending chain of clusters."""
-    partition, skeleton, pi = clusters_and_skeleton(frame)
-    k = skeleton.size
-    memo = [0] * k
-    order = sorted(range(k), key=lambda c: skeleton.up[c].bit_count())
-    for c in order:
-        best = 0
-        succ = skeleton.up[c] & ~(1 << c)
-        while succ:
-            d = (succ & -succ).bit_length() - 1
-            succ &= succ - 1
-            best = max(best, memo[d])
-        memo[c] = best + 1
-    return tuple(memo[pi[w]] for w in frame.worlds())
+    return tuple(_order_data(frame.up)[4])
 
 
 def depth(frame: Frame, w: int) -> int:
@@ -349,37 +358,13 @@ def canonical_key(frame: Frame):
     """
     n = frame.size
     up = frame.up
-    succ = [worlds_of(mask) for mask in up]
-    pred = [[] for _ in range(n)]
-    down = [0] * n
-    for u in range(n):
-        for w in succ[u]:
-            down[w] |= 1 << u
-            pred[w].append(u)
-    cluster = [up[w] & down[w] for w in range(n)]
-    # depth: longest strictly ascending chain of clusters; a strict
-    # successor has a smaller upset, so it is finished first
-    up_size = [mask.bit_count() for mask in up]
-    depth = [0] * n
-    for w in sorted(range(n), key=up_size.__getitem__):
-        best = 0
-        for v in succ[w]:
-            if not (cluster[w] >> v) & 1 and depth[v] > best:
-                best = depth[v]
-        depth[w] = best + 1
-    rank = _ranks([(depth[w], up_size[w], len(pred[w]), cluster[w].bit_count()) for w in range(n)])
-    count = max(rank) + 1
+    succ, pred, down, cluster, depth = _order_data(up)
+    rank = _ranks([(depth[w], len(succ[w]), len(pred[w]), cluster[w].bit_count()) for w in range(n)])
     for _ in range(2):
-        if count == n:
-            break
         at = rank.__getitem__
         rank = _ranks([(rank[w], tuple(sorted(map(at, succ[w]))), tuple(sorted(map(at, pred[w]))))
                        for w in range(n)])
-        # a round that splits no group leaves every rank as it was, and so
-        # would every later round
-        if max(rank) + 1 == count:
-            break
-        count = max(rank) + 1
+    count = max(rank) + 1
     groups = [[] for _ in range(count)]
     for w in range(n):
         groups[rank[w]].append(w)

@@ -53,6 +53,21 @@ def naive_preorder_classes(n):
     return reps
 
 
+def naive_depths(frame):
+    """Depth of every world by its definition: one more than the greatest
+    depth of a strict successor (one that does not see the world back)."""
+    n = frame.size
+    depths = {}
+
+    def depth(w):
+        if w not in depths:
+            strict = [v for v in range(n) if frame.le(w, v) and not frame.le(v, w)]
+            depths[w] = 1 + max((depth(v) for v in strict), default=0)
+        return depths[w]
+
+    return [depth(w) for w in range(n)]
+
+
 def naive_canonical_key(frame):
     """The canonical key by its definition: per-world invariants (depth,
     upset, downset and cluster sizes) refined twice by the sorted invariants
@@ -60,15 +75,8 @@ def naive_canonical_key(frame):
     every relabeling that permutes each invariant group within its slots."""
     n = frame.size
     le = [[frame.le(u, w) for w in range(n)] for u in range(n)]
-    depths = {}
-
-    def depth(w):
-        if w not in depths:
-            strict = [v for v in range(n) if le[w][v] and not le[v][w]]
-            depths[w] = 1 + max((depth(v) for v in strict), default=0)
-        return depths[w]
-
-    keys = [(depth(w), sum(le[w]), sum(le[u][w] for u in range(n)),
+    depth = naive_depths(frame)
+    keys = [(depth[w], sum(le[w]), sum(le[u][w] for u in range(n)),
              sum(le[w][v] and le[v][w] for v in range(n))) for w in range(n)]
     for _ in range(2):
         keys = [(keys[w], tuple(sorted(keys[v] for v in range(n) if le[w][v])),

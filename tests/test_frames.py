@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import naive_preorder_classes
+from conftest import naive_depths, naive_preorder_classes
 from roachkit import frames as F
 from roachkit.errors import CeilingExceededError, FrameFormatError
 from roachkit.roach import builtin
@@ -96,6 +96,17 @@ def test_depth_of_t_n_roots():
 def test_depth_examples():
     assert F.depth(builtin("point"), 0) == 1
     assert F.depth(builtin("F3"), 0) == 3
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_order_views_match_definitions(n):
+    for f in F.enumerate_frames(n):
+        worlds = f.worlds()
+        assert F.depth_vector(f) == tuple(naive_depths(f))
+        assert F.down_masks(f) == tuple(
+            sum(1 << u for u in worlds if f.le(u, w)) for w in worlds)
+        assert F.cluster_masks(f) == tuple(
+            sum(1 << v for v in worlds if f.le(w, v) and f.le(v, w)) for w in worlds)
 
 
 def test_depth_monotone_and_cluster_constant():
