@@ -117,8 +117,9 @@ def _order_data(up: tuple[int, ...]):
     longest strictly ascending chain of clusters from it.
 
     Uncached, so that callers who see a frame once (enumeration candidates
-    in ``canonical_key``) fill no cache; the cached per-frame views are
-    ``down_masks``, ``cluster_masks`` and ``depth_vector``.
+    in ``canonical_key``, generated subframes and configurations in
+    ``morphisms.find_onto_p_morphism``) fill no cache; the cached per-frame
+    views are ``down_masks``, ``cluster_masks`` and ``depth_vector``.
     """
     n = len(up)
     succ = [worlds_of(mask) for mask in up]

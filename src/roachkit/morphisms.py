@@ -8,8 +8,10 @@ from dataclasses import dataclass
 from .errors import CollapseError, PreconditionError
 from .frames import (
     Frame,
+    _order_data,
     classify_frame,
     cluster_masks,
+    clusters_and_skeleton,
     generated_subframe,
     mask_of,
     upset_mask,
@@ -75,12 +77,26 @@ def identity_morphism(frame: Frame) -> PMorphism:
     return PMorphism(frame, frame, tuple(frame.worlds()))
 
 
+def _cluster_counts(up: tuple[int, ...], cluster: list[int]) -> list[int]:
+    """Per world, the number of clusters in its upset."""
+    leaders = 0
+    for w, c in enumerate(cluster):
+        if c & -c == 1 << w:
+            leaders |= 1 << w
+    return [(mask & leaders).bit_count() for mask in up]
+
+
 def find_onto_p_morphism(source: Frame, target: Frame, ceiling: int = 10) -> PMorphism | None:
     """Exhaustive backtracking search for an onto p-morphism.
 
     Source worlds are assigned in index order with target values tried
     ascending, so the first solution found is the lexicographically least
     map.  Returns None only after the whole space is pruned away.
+
+    Since f(up w) = up f(w) and strict chains lift, every onto p-morphism
+    maps w to a value of no greater depth, upset size and upset cluster
+    count, and a world seeing everything to a world seeing everything;
+    values failing these are never tried.
     """
     if source.size > ceiling or target.size > ceiling:
         raise PreconditionError(f"frames above {ceiling} worlds are not searched")
@@ -88,6 +104,24 @@ def find_onto_p_morphism(source: Frame, target: Frame, ceiling: int = 10) -> PMo
     if n < m:
         return None
     up_s, up_t = source.up, target.up
+    succ_s, pred_s, _, cluster_s, depth_s = _order_data(up_s)
+    _, _, down_t, cluster_t, depth_t = _order_data(up_t)
+    clusters_s, clusters_t = _cluster_counts(up_s, cluster_s), _cluster_counts(up_t, cluster_t)
+    full_s, full_t = (1 << n) - 1, (1 << m) - 1
+    sizes_t = [mask.bit_count() for mask in up_t]
+    domain = [0] * n
+    for w in range(n):
+        size, root = up_s[w].bit_count(), up_s[w] == full_s
+        for v in range(m):
+            if (depth_t[v] <= depth_s[w] and sizes_t[v] <= size
+                    and clusters_t[v] <= clusters_s[w] and (up_t[v] == full_t or not root)):
+                domain[w] |= 1 << v
+        if not domain[w]:
+            return None
+    # forth: f(pos) lies above f(u) for each earlier u below pos, and below
+    # f(u) for each earlier u above pos
+    below = [[u for u in pred_s[w] if u < w] for w in range(n)]
+    above = [[u for u in succ_s[w] if u < w] for w in range(n)]
     # worlds are assigned in index order, so the upset of w is fully assigned
     # exactly after its highest member's step; back checks run there
     completed_at = [[] for _ in range(n)]
@@ -106,27 +140,23 @@ def find_onto_p_morphism(source: Frame, target: Frame, ceiling: int = 10) -> PMo
 
     def assign(pos: int, used: int) -> bool:
         if pos == n:
-            return used == (1 << m) - 1
-        for v in range(m):
-            ok = True
-            for u in range(pos):
-                au = assignment[u]
-                if (up_s[u] >> pos) & 1 and not (up_t[au] >> v) & 1:
-                    ok = False
-                    break
-                if (up_s[pos] >> u) & 1 and not (up_t[v] >> au) & 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assignment[pos] = v
-            new_used = used | (1 << v)
+            return used == full_t
+        candidates = domain[pos]
+        for u in below[pos]:
+            candidates &= up_t[assignment[u]]
+        for u in above[pos]:
+            candidates &= down_t[assignment[u]]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            assignment[pos] = low.bit_length() - 1
+            new_used = used | low
             if m - new_used.bit_count() <= n - pos - 1 and all(
                 back_ok(w) for w in completed_at[pos]
             ):
                 if assign(pos + 1, new_used):
                     return True
-            assignment[pos] = -1
+        assignment[pos] = -1
         return False
 
     if assign(0, 0):
@@ -228,7 +258,5 @@ def collapse(frame: Frame, blocks) -> tuple[Frame, PMorphism]:
 
 def skeleton_morphism(frame: Frame) -> PMorphism:
     """The cluster-collapse map onto the skeleton, as a verified morphism."""
-    from .frames import clusters_and_skeleton
-
     _, skel, pi = clusters_and_skeleton(frame)
     return PMorphism(frame, skel, pi)

@@ -120,6 +120,60 @@ def naive_onto_p_morphisms(source, target):
     return found
 
 
+def reference_onto_p_morphism(source, target):
+    """The unpruned backtracking search: source worlds in index order, every
+    target value tried ascending with a per-value forth check against all
+    earlier worlds.  Returns the least onto p-morphism as a tuple, or None."""
+    n, m = source.size, target.size
+    if n < m:
+        return None
+    up_s, up_t = source.up, target.up
+    # worlds are assigned in index order, so the upset of w is fully assigned
+    # exactly after its highest member's step; back checks run there
+    completed_at = [[] for _ in range(n)]
+    for w in range(n):
+        completed_at[up_s[w].bit_length() - 1].append(w)
+    assignment = [-1] * n
+
+    def back_ok(w: int) -> bool:
+        image = 0
+        rest = up_s[w]
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            image |= 1 << assignment[u]
+        return not (up_t[assignment[w]] & ~image)
+
+    def assign(pos: int, used: int) -> bool:
+        if pos == n:
+            return used == (1 << m) - 1
+        for v in range(m):
+            ok = True
+            for u in range(pos):
+                au = assignment[u]
+                if (up_s[u] >> pos) & 1 and not (up_t[au] >> v) & 1:
+                    ok = False
+                    break
+                if (up_s[pos] >> u) & 1 and not (up_t[v] >> au) & 1:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            assignment[pos] = v
+            new_used = used | (1 << v)
+            if m - new_used.bit_count() <= n - pos - 1 and all(
+                back_ok(w) for w in completed_at[pos]
+            ):
+                if assign(pos + 1, new_used):
+                    return True
+            assignment[pos] = -1
+        return False
+
+    if assign(0, 0):
+        return tuple(assignment)
+    return None
+
+
 def naive_frame_validates(frame, phi):
     """Validity by looping over every valuation one at a time."""
     names = fm.variables(phi)

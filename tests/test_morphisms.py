@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from conftest import naive_onto_p_morphisms
+from conftest import naive_depths, naive_onto_p_morphisms, reference_onto_p_morphism
 from roachkit import frames as F
 from roachkit import morphisms as M
 from roachkit.errors import CollapseError, PreconditionError
@@ -85,7 +86,86 @@ def test_find_agrees_with_naive_oracle():
             pm = M.find_onto_p_morphism(source, target)
             assert (pm is not None) == bool(oracle)
             if pm is not None:
-                assert pm.mapping in oracle
+                assert pm.mapping == min(oracle)
+
+
+def _upset_profile(frame):
+    """Per world, by definition: depth, upset size, number of clusters in
+    the upset, and whether the world sees every world."""
+    n = frame.size
+    depths = naive_depths(frame)
+    profile = []
+    for w in range(n):
+        upset = [v for v in range(n) if frame.le(w, v)]
+        clusters = {frozenset(u for u in range(n) if frame.le(u, v) and frame.le(v, u)) for v in upset}
+        profile.append((depths[w], len(upset), len(clusters), len(upset) == n))
+    return profile
+
+
+def test_onto_p_morphisms_respect_the_pruning_lemmas():
+    # every onto p-morphism meets the four conditions the search prunes by:
+    # depth, upset size and upset cluster count do not grow, and a world
+    # seeing everything maps to a world seeing everything
+    sources = [f for n in range(1, 5) for f in F.enumerate_frames(n)]
+    targets = [g for n in range(1, 4) for g in F.enumerate_frames(n)]
+    checked = 0
+    for source in sources:
+        src = _upset_profile(source)
+        for target in targets:
+            tgt = _upset_profile(target)
+            for mapping in naive_onto_p_morphisms(source, target):
+                for w, v in enumerate(mapping):
+                    assert tgt[v][0] <= src[w][0]
+                    assert tgt[v][1] <= src[w][1]
+                    assert tgt[v][2] <= src[w][2]
+                    assert tgt[v][3] or not src[w][3]
+                checked += 1
+    assert checked == 513
+
+
+def _shuffled_rooted_frame(rng, n):
+    """A rooted frame on n worlds with random upward pairs, an occasional
+    two-world cluster, and labels shuffled so that the root is not first."""
+    pairs = [(0, j) for j in range(1, n)]
+    pairs += [(i, j) for i in range(1, n) for j in range(i + 1, n) if rng.random() < 0.3]
+    if rng.random() < 0.3:
+        i = rng.randrange(1, n - 1)
+        pairs += [(i, i + 1), (i + 1, i)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return F.normalize_frame([(perm[u], perm[w]) for u, w in pairs], n)
+
+
+def _assert_same_as_reference(source, target):
+    pm = M.find_onto_p_morphism(source, target)
+    assert (pm.mapping if pm is not None else None) == reference_onto_p_morphism(source, target)
+
+
+def test_find_matches_reference_on_census_subframes():
+    configs = [builtin(name) for name in ("F1", "F2", "F3")]
+    searched = 0
+    for n in range(1, 7):
+        for frame in F.enumerate_frames(n, "s41-rooted"):
+            for g in frame.worlds():
+                sub, _ = F.generated_subframe(frame, g)
+                for config in configs:
+                    _assert_same_as_reference(sub, config)
+                    searched += 1
+    assert searched == 2895
+
+
+def test_find_matches_reference_on_shuffled_large_frames():
+    rng = random.Random(20231)
+    configs = [builtin(name) for name in ("F1", "F2", "F3")]
+    found = moved_roots = 0
+    for i in range(48):
+        frame = _shuffled_rooted_frame(rng, 8 + i % 3)
+        moved_roots += frame.up[0] != (1 << frame.size) - 1
+        for config in configs:
+            _assert_same_as_reference(frame, config)
+            found += M.find_onto_p_morphism(frame, config) is not None
+    assert moved_roots > 24
+    assert 0 < found < 3 * 48
 
 
 def test_composition_of_verified_morphisms_verifies():
