@@ -3,10 +3,17 @@
 
 Runs the dominant acceptance workloads: frame-formula validity over all
 valuations (2^25 per 5-world frame for the largest formula) and the depth
-axioms.  Usage: python benchmarks/bench_scan.py [--quick]
+axioms.  Each row gives the seconds and the valuations per second of every
+kernel; a scan covers 2^(k*n) valuations when the formula is valid on the
+frame, else its least refuting index plus one.
+
+    PYTHONPATH=src python benchmarks/bench_scan.py [--quick] [--json]
+
+``--json`` prints one JSON line instead of the table.
 """
 
 import argparse
+import json
 import time
 
 from roachkit import _scan_py
@@ -36,36 +43,53 @@ def workload(quick):
 
 
 def run(backend, jobs):
-    times = []
+    """(workload, frames, seconds, valuations scanned) per job."""
+    rows = []
     for name, phi, frames in jobs:
         program = compile_formula(phi)
+        indices = []
         start = time.perf_counter()
         for frame in frames:
-            backend.find_refuting_index(frame.up, frame.size, program)
-        times.append((name, len(frames), time.perf_counter() - start))
-    return times
+            indices.append(backend.find_refuting_index(frame.up, frame.size, program))
+        elapsed = time.perf_counter() - start
+        valuations = sum(1 << (program.n_vars * frame.size) if index < 0 else index + 1
+                         for frame, index in zip(frames, indices))
+        rows.append((name, len(frames), elapsed, valuations))
+    return rows
 
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true")
+    parser.add_argument("--json", action="store_true", help="print one JSON result line")
     args = parser.parse_args()
 
     jobs = workload(args.quick)
     backends = [("pure", _scan_py)]
     if _scan_c is not None:
         backends.append(("compiled", _scan_c))
-    else:
+    elif not args.json:
         print("compiled backend not built; showing pure only")
 
     results = {name: run(module, jobs) for name, module in backends}
+    if args.json:
+        print(json.dumps({"quick": args.quick, "workloads": [
+            {"workload": job_name, "frames": len(frames),
+             "valuations": results["pure"][i][3],
+             **{f"{n}_s": results[n][i][2] for n, _ in backends},
+             **{f"{n}_valuations_per_s": results[n][i][3] / results[n][i][2] for n, _ in backends}}
+            for i, (job_name, _, frames) in enumerate(jobs)]}))
+        return
     width = max(len(job[0]) for job in jobs)
-    header = f"{'workload':<{width}}  frames  " + "  ".join(f"{n:>9}" for n, _ in backends)
+    header = (f"{'workload':<{width}}  frames  " + "  ".join(f"{n:>9}" for n, _ in backends)
+              + "  " + "  ".join(f"{n + ' val/s':>14}" for n, _ in backends))
     print(header)
     print("-" * len(header))
     for i, (job_name, _, _) in enumerate(jobs):
         row = [f"{results[n][i][2]:>8.2f}s" for n, _ in backends]
-        print(f"{job_name:<{width}}  {results[backends[0][0]][i][1]:>6}  " + "  ".join(row))
+        rates = [f"{results[n][i][3] / results[n][i][2]:>14.3e}" for n, _ in backends]
+        print(f"{job_name:<{width}}  {results[backends[0][0]][i][1]:>6}  " + "  ".join(row)
+              + "  " + "  ".join(rates))
     if _scan_c is not None:
         total_pure = sum(t for _, _, t in results["pure"])
         total_fast = sum(t for _, _, t in results["compiled"])

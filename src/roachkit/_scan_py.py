@@ -11,6 +11,21 @@ larger ones do not, and more, smaller chunks add interpreter overhead.  Bits
 of the index below the chunk size vary inside a chunk and come from a
 pattern table built by repeating a byte block; higher bits are constant
 across a chunk.
+
+An *item* is one subformula's bitvector at one world.  Its *support* is the
+set of index bits it reads: bit v*n+i for variable v at world i, the union
+of the operands' supports at the same world for a Boolean connective, and
+the union over the upset of i for a box or diamond at i.  Its *level* is its
+lowest support bit at or above the chunk size, counted from the chunk size;
+an item with no such bit has no level and is the same in every chunk.  Going
+from chunk c-1 to chunk c flips exactly the high index bits 0 .. tz(c)
+(counted the same way), where tz(c) is the number of trailing zero bits of
+c, so chunk c recomputes only the items of level at most tz(c) and keeps the
+rest.  An item a consumer reads in a chunk where the item itself is not
+recomputed must outlive its chunk: that happens exactly when some consumer
+has a strictly lower level.  Every other item dies at the last use of its
+subformula, as in a single chunk.  The analysis is built once per call, and
+only when the scan spans more than one chunk.
 """
 
 from __future__ import annotations
@@ -43,81 +58,148 @@ def _patterns(chunk_bits: int) -> list[int]:
     return pats
 
 
+def _operands(op, a, b):
+    """The distinct slots an instruction reads."""
+    if op in (OP_NOT, OP_BOX, OP_DIA):
+        return (a,)
+    if op in (OP_AND, OP_OR, OP_IMP):
+        return (a,) if a == b else (a, b)
+    return ()
+
+
+def _levels(ops, members, n_worlds, chunk_log2, high):
+    """Level of every item, ``high`` for an item with no level, and whether
+    each item must outlive its chunk."""
+    levels = []
+    for op, a, b in ops:
+        if op == OP_VAR:
+            first = a * n_worlds - chunk_log2
+            lv = [first + i if first + i >= 0 else high for i in range(n_worlds)]
+        elif op in (OP_TOP, OP_BOT):
+            lv = [high] * n_worlds
+        elif op == OP_NOT:
+            lv = levels[a]
+        elif op in (OP_AND, OP_OR, OP_IMP):
+            lv = list(map(min, levels[a], levels[b]))
+        else:
+            src = levels[a]
+            lv = [min(src[u] for u in members[i]) for i in range(n_worlds)]
+        levels.append(lv)
+    lowest_consumer = [[high] * n_worlds for _ in ops]
+    for pc, (op, a, b) in enumerate(ops):
+        mine = levels[pc]
+        for s in _operands(op, a, b):
+            low = lowest_consumer[s]
+            for i in range(n_worlds):
+                for u in members[i] if op in (OP_BOX, OP_DIA) else (i,):
+                    if mine[i] < low[u]:
+                        low[u] = mine[i]
+    kept = [[c < own for c, own in zip(low, lv)] for low, lv in zip(lowest_consumer, levels)]
+    return levels, kept
+
+
 def find_refuting_index(up, n_worlds, program, chunk_log2=16):
     """Index of the least valuation refuting the program's formula on the
     frame, or -1 when the formula is valid."""
     kn = program.n_vars * n_worlds
-    total_bits = 1 << kn
-    chunk_bits = min(total_bits, 1 << chunk_log2)
+    chunk_log2 = min(chunk_log2, kn)
+    chunk_bits = 1 << chunk_log2
     full = (1 << chunk_bits) - 1
     pats = _patterns(chunk_bits)
     ops = program.ops
     last_use = program.last_use
-    up_bits = [tuple((m >> i) & 1 for i in range(n_worlds)) for m in up]
+    worlds = tuple(range(n_worlds))
+    members = [tuple(u for u in worlds if (m >> u) & 1) for m in up]
+    high = kn - chunk_log2  # index bits above the chunk
+    levels = kept = None
+    if high:
+        levels, kept = _levels(ops, members, n_worlds, chunk_log2, high)
 
-    # every slot value lies in [0, full], so its complement is ``full ^ x``
-    base = 0
-    while base < total_bits:
-        slots = {}
+    # after each instruction, the items of its operands that die there: a
+    # whole slot (None) or the worlds not kept for a later chunk
+    drops = [[] for _ in ops]
+    for s, pc in enumerate(last_use[:-1]):  # the result outlives the program
+        gone = worlds if kept is None else tuple(u for u in worlds if not kept[s][u])
+        if len(gone) == n_worlds:
+            drops[pc].append((s, None))
+        elif gone:
+            drops[pc].append((s, gone))
+
+    def plan(threshold):
+        steps = []
         for pc, (op, a, b) in enumerate(ops):
+            todo = worlds if levels is None else tuple(
+                i for i in worlds if levels[pc][i] <= threshold)
+            if todo:
+                steps.append((op, pc, a, b, todo, drops[pc]))
+        return steps
+
+    # plans[t] runs in a chunk whose number has t trailing zeros; chunk 0
+    # computes every item, which is plans[high]
+    plans = [plan(t) for t in range(high + 1)]
+
+    # every item lies in [0, full], so its complement is ``full ^ x``
+    vals = [None] * len(ops)
+    for c in range(1 << high):
+        base = c << chunk_log2
+        for op, pc, a, b, todo, drop in plans[(c & -c).bit_length() - 1 if c else high]:
+            vec = vals[pc]
+            if vec is None:
+                vec = vals[pc] = [0] * n_worlds
             if op == OP_VAR:
-                vec = []
-                for i in range(n_worlds):
+                for i in todo:
                     t = a * n_worlds + i
-                    if (1 << t) >= chunk_bits:
-                        vec.append(full if (base >> t) & 1 else 0)
+                    if t < chunk_log2:
+                        vec[i] = pats[t]
                     else:
-                        vec.append(pats[t])
+                        vec[i] = full if (base >> t) & 1 else 0
             elif op == OP_TOP:
-                vec = [full] * n_worlds
+                for i in todo:
+                    vec[i] = full
             elif op == OP_BOT:
-                vec = [0] * n_worlds
+                for i in todo:
+                    vec[i] = 0
             elif op == OP_NOT:
-                src = slots[a]
-                vec = [full ^ src[i] for i in range(n_worlds)]
+                x = vals[a]
+                for i in todo:
+                    vec[i] = full ^ x[i]
             elif op == OP_AND:
-                x, y = slots[a], slots[b]
-                vec = [x[i] & y[i] for i in range(n_worlds)]
+                x, y = vals[a], vals[b]
+                for i in todo:
+                    vec[i] = x[i] & y[i]
             elif op == OP_OR:
-                x, y = slots[a], slots[b]
-                vec = [x[i] | y[i] for i in range(n_worlds)]
+                x, y = vals[a], vals[b]
+                for i in todo:
+                    vec[i] = x[i] | y[i]
             elif op == OP_IMP:
-                x, y = slots[a], slots[b]
-                vec = [(full ^ x[i]) | y[i] for i in range(n_worlds)]
+                x, y = vals[a], vals[b]
+                for i in todo:
+                    vec[i] = (full ^ x[i]) | y[i]
             elif op == OP_BOX:
-                src = slots[a]
-                vec = []
-                for i in range(n_worlds):
+                x = vals[a]
+                for i in todo:
                     acc = full
-                    bits = up_bits[i]
-                    for u in range(n_worlds):
-                        if bits[u]:
-                            acc &= src[u]
-                    vec.append(acc)
+                    for u in members[i]:
+                        acc &= x[u]
+                    vec[i] = acc
             else:  # OP_DIA
-                src = slots[a]
-                vec = []
-                for i in range(n_worlds):
+                x = vals[a]
+                for i in todo:
                     acc = 0
-                    bits = up_bits[i]
-                    for u in range(n_worlds):
-                        if bits[u]:
-                            acc |= src[u]
-                    vec.append(acc)
-            slots[pc] = vec
-            if op in (OP_NOT, OP_BOX, OP_DIA) and last_use[a] == pc:
-                del slots[a]
-            elif op in (OP_AND, OP_OR, OP_IMP):
-                if last_use[a] == pc:
-                    del slots[a]
-                if b != a and last_use[b] == pc and b in slots:
-                    del slots[b]
-        result = slots[len(ops) - 1]
+                    for u in members[i]:
+                        acc |= x[u]
+                    vec[i] = acc
+            for s, gone in drop:
+                if gone is None:
+                    vals[s] = None
+                else:
+                    dying = vals[s]
+                    for u in gone:
+                        dying[u] = None
         acc = full
-        for i in range(n_worlds):
-            acc &= result[i]
+        for x in vals[-1]:
+            acc &= x
         if acc != full:
             missing = full ^ acc
             return base + ((missing & -missing).bit_length() - 1)
-        base += chunk_bits
     return -1

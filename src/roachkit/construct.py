@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError, PreconditionError
 from .frames import (
+    MAX_FRAME_WORLDS,
     Frame,
     classify_frame,
     clusters_and_skeleton,
@@ -21,7 +22,7 @@ from .frames import (
 from .morphisms import PMorphism, check_p_morphism, identity_morphism
 from . import roach as roach_mod
 
-DEFAULT_NODE_BUDGET = 4096
+DEFAULT_NODE_BUDGET = MAX_FRAME_WORLDS
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ ASCII grammar: variables ``[a-z][a-zA-Z0-9_]*``; ``~`` not, ``&`` and,
 ``|`` or, ``->`` implies (right associative), ``[]`` box, ``<>`` diamond,
 ``T``/``F`` constants, parentheses.  Precedence: unary > ``&`` > ``|`` >
 ``->``.  Diamond is a primitive connective, not sugar for ``~[]~``.
+Formula text may nest at most ``MAX_NESTING`` levels deep.
 """
 
 from __future__ import annotations
@@ -170,14 +171,31 @@ def eliminate_diamonds(phi: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # parsing / printing
 
+# Deepest formula text ``parse`` accepts.  For every node of the syntax tree,
+# its height plus the unary operators, parentheses and implication right
+# operands open around it may not exceed this; deeper text raises
+# FormulaSyntaxError.  Rendering, compiling and evaluating recurse once per
+# tree level and the parser a few frames per level, so this keeps both well
+# inside Python's recursion limit.  The Fine-Jankov formulas of the
+# forbidden configurations are at most 12 levels deep, and the depth axiom
+# bd(n) is 4n - 1 levels deep, so it parses back for n <= 25.
+MAX_NESTING = 100
+
 _VAR_START = "abcdefghijklmnopqrstuvwxyz"
 _VAR_BODY = _VAR_START + _VAR_START.upper() + "0123456789_"
+_PREFIX = (("~", Not), ("[]", Box), ("<>", Diamond))
 
 
 class _Parser:
+    """Each parsing method returns ``(formula, height)``; ``depth`` counts
+    the unary operators, parentheses and ``->`` right operands open around
+    the current position.  Every returned height plus the depth it was
+    parsed at stays within ``MAX_NESTING``."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message):
         raise FormulaSyntaxError(message, self.pos)
@@ -186,12 +204,9 @@ class _Parser:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def peek(self, token: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(token, self.pos)
-
     def eat(self, token: str) -> bool:
-        if self.peek(token):
+        self.skip_ws()
+        if self.text.startswith(token, self.pos):
             self.pos += len(token)
             return True
         return False
@@ -200,49 +215,65 @@ class _Parser:
         if not self.eat(token):
             self.error(f"expected {token!r}")
 
+    def too_deep(self):
+        self.error(f"formula nests deeper than {MAX_NESTING} levels")
+
+    def nested(self, parse_inner):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.too_deep()
+        result = parse_inner()
+        self.depth -= 1
+        return result
+
+    def binary(self, cls, left, right):
+        height = 1 + max(left[1], right[1])
+        if self.depth + height > MAX_NESTING:
+            self.too_deep()
+        return cls(left[0], right[0]), height
+
     def parse(self) -> Formula:
-        phi = self.implies()
+        phi, _ = self.implies()
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("unexpected trailing input")
         return phi
 
-    def implies(self) -> Formula:
+    def implies(self):
         left = self.disjunction()
         if self.eat("->"):
-            return Implies(left, self.implies())
+            return self.binary(Implies, left, self.nested(self.implies))
         return left
 
-    def disjunction(self) -> Formula:
+    def disjunction(self):
         left = self.conjunction()
         while self.eat("|"):
-            left = Or(left, self.conjunction())
+            left = self.binary(Or, left, self.conjunction())
         return left
 
-    def conjunction(self) -> Formula:
+    def conjunction(self):
         left = self.unary()
         while True:
             self.skip_ws()
             # '&' but not part of a future token
             if self.eat("&"):
-                left = And(left, self.unary())
+                left = self.binary(And, left, self.unary())
             else:
                 return left
 
-    def unary(self) -> Formula:
+    def unary(self):
         self.skip_ws()
-        if self.eat("~"):
-            return Not(self.unary())
-        if self.eat("[]"):
-            return Box(self.unary())
-        if self.eat("<>"):
-            return Diamond(self.unary())
+        for token, cls in _PREFIX:
+            if self.text.startswith(token, self.pos):
+                self.pos += len(token)
+                phi, height = self.nested(self.unary)
+                return cls(phi), height + 1
         return self.atom()
 
-    def atom(self) -> Formula:
+    def atom(self):
         self.skip_ws()
         if self.eat("("):
-            phi = self.implies()
+            phi = self.nested(self.implies)
             self.expect(")")
             return phi
         if self.pos >= len(self.text):
@@ -250,15 +281,15 @@ class _Parser:
         ch = self.text[self.pos]
         if ch == "T":
             self.pos += 1
-            return TOP
+            return TOP, 0
         if ch == "F":
             self.pos += 1
-            return BOT
+            return BOT, 0
         if ch in _VAR_START:
             start = self.pos
             while self.pos < len(self.text) and self.text[self.pos] in _VAR_BODY:
                 self.pos += 1
-            return Var(self.text[start : self.pos])
+            return Var(self.text[start : self.pos]), 0
         self.error(f"unexpected character {ch!r}")
 
 

@@ -17,6 +17,12 @@ from .errors import CeilingExceededError, FrameFormatError
 
 ENUMERATION_CEILING = 6
 
+# Largest ``size`` that frame JSON may declare.  Reading a frame allocates a
+# bitmask of up to ``size`` bits per world, so an unchecked size can exhaust
+# memory before any edge is read.  The default unraveling budget
+# (``construct.DEFAULT_NODE_BUDGET``) is this same number.
+MAX_FRAME_WORLDS = 4096
+
 FILTER_NAMES = ("all", "rooted", "s41-rooted", "2-roach", "willow")
 
 
@@ -535,6 +541,8 @@ def frame_from_json(text: str) -> Frame:
     size = data["size"]
     if not isinstance(size, int) or isinstance(size, bool):
         raise FrameFormatError('"size" must be an integer')
+    if size > MAX_FRAME_WORLDS:
+        raise FrameFormatError(f'"size" {size} is above the limit of {MAX_FRAME_WORLDS} worlds')
     pairs = []
     for entry in data["le"]:
         if (not isinstance(entry, (list, tuple)) or len(entry) != 2

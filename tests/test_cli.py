@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import roachkit
 from roachkit import frames as F
 from roachkit import roach as R
 from roachkit.cli import main
@@ -171,6 +175,27 @@ def test_bad_labels_exit_1(tmp_path, capsys):
     path.write_text('{"size": 2, "le": [[0, 1]], "labels": 5}')
     code, _, err = run_cli(capsys, "check", str(path))
     assert code == 1 and "labels" in err
+
+
+def test_deep_formulas_exit_1_in_one_line():
+    # a fresh interpreter, so that any uncaught error would print a traceback
+    src = os.path.dirname(os.path.dirname(roachkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for text in ("~" * 3000 + "p", "(" * 3000 + "p" + ")" * 3000):
+        proc = subprocess.run([sys.executable, "-m", "roachkit.cli", "validate", "builtin:F1",
+                               "--formula", text], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: formula nests deeper")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_oversized_frame_exits_1(tmp_path, capsys):
+    path = tmp_path / "frame.json"
+    path.write_text('{"size": 3000000, "le": []}')
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 1 and out == "" and "size" in err
 
 
 def test_bare_builtin_names_resolve(capsys):

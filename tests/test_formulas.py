@@ -74,6 +74,34 @@ def test_render_of_parse_is_stable():
         assert fm.render(fm.parse(text)) == text
 
 
+def test_render_parse_round_trips_builtin_formulas():
+    named = [fm.axiom(name) for name in ("ma", "ga", "grz", "s4_T", "s4_4")]
+    named += [fm.axiom("bd", n) for n in range(1, 26)]  # bd(n) is 4n - 1 levels deep
+    named += [fm.fine_jankov(builtin(name)) for name in ("F1", "F2", "F3")]
+    for phi in named:
+        assert fm.parse(fm.render(phi)) == phi
+
+
+def test_parse_caps_nesting():
+    cap = fm.MAX_NESTING
+    p = fm.Var("p")
+    negated, conjoined, implied = p, p, p
+    for _ in range(cap):
+        negated, conjoined, implied = fm.Not(negated), fm.And(conjoined, p), fm.Implies(p, implied)
+    assert fm.parse("~" * cap + "p") == negated
+    assert fm.parse("(" * cap + "p" + ")" * cap) == p
+    assert fm.parse(" & ".join(["p"] * (cap + 1))) == conjoined
+    assert fm.parse(" -> ".join(["p"] * (cap + 1))) == implied
+    deep = ["~" * (cap + 1) + "p", "(" * (cap + 1) + "p" + ")" * (cap + 1),
+            " & ".join(["p"] * (cap + 2)), " | ".join(["p"] * (cap + 2)),
+            " -> ".join(["p"] * (cap + 2)), "[]<>" * (cap // 2) + "~p",
+            "(~" * (cap // 2 + 1) + "p" + ")" * (cap // 2 + 1),
+            "~" * 3000 + "p", "(" * 3000 + "p" + ")" * 3000]
+    for text in deep:
+        with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+            fm.parse(text)
+
+
 def test_bd_axioms():
     assert fm.render(fm.axiom("bd", 1)) == "<>[]p1 -> p1"
     assert fm.render(fm.axiom("bd", 2)) == "<>([]p2 & ~(<>[]p1 -> p1)) -> p2"

@@ -259,6 +259,16 @@ def test_frame_json_bad_payloads():
         F.frame_from_json('{"size": true, "le": []}')
 
 
+def test_frame_json_size_is_capped():
+    from roachkit import construct
+
+    assert F.MAX_FRAME_WORLDS == construct.DEFAULT_NODE_BUDGET == 4096
+    assert F.frame_from_json('{"size": %d, "le": []}' % F.MAX_FRAME_WORLDS).size == 4096
+    for size in (F.MAX_FRAME_WORLDS + 1, 3000000, 10 ** 30):
+        with pytest.raises(FrameFormatError, match="above the limit"):
+            F.frame_from_json('{"size": %d, "le": []}' % size)
+
+
 def test_frame_json_labels_must_be_a_list_of_size_strings():
     f = F.frame_from_json('{"size": 2, "le": [[0, 1]], "labels": ["r", "m"]}')
     assert f.labels == ("r", "m")

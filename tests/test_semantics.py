@@ -302,3 +302,34 @@ def test_find_refutation_recompiles_for_every_new_formula(monkeypatch):
     assert expected[-1] is not None
     monkeypatch.setattr(S, "compile_formula", lambda phi: compile_formula(fm.parse("[]p -> p")))
     assert S.find_refutation(frame, formulas[-1]) is None
+
+
+def test_chunk_reuse_matches_one_chunk_scan():
+    # chunks of 2^0, 2^2, 2^3 and 2^5 valuations split spaces of up to 2^10
+    # into many chunks, so items take several levels and most chunks
+    # recompute only some of them; a single chunk of 2^(k*n) valuations
+    # recomputes everything and is the reference
+    rng = random.Random(31)
+    frames = [f for n in range(1, 6) for f in F.enumerate_frames(n)]
+    wide = [f for f in frames if f.size >= 3]
+    # a root box or diamond over a subtree whose atoms at the root world lie
+    # below the chunk while those at its successors lie above it
+    pulled = ["~[]p", "p -> []p", "<>p -> p", "~[](p | q)", "[]<>q -> p",
+              "<>[]q -> []p", "<>(p & ~q) | []q"]
+    cases = [(rng.choice(wide), fm.parse(text)) for text in pulled for _ in range(4)]
+    for _ in range(60):
+        names = [f"p{i}" for i in range(rng.randint(1, 2))]
+        cases.append((rng.choice(frames), _random_formula(rng, rng.randint(1, 4), names)))
+    past_first_chunks = 0
+    for f, phi in cases:
+        program = compile_formula(phi)
+        kn = program.n_vars * f.size
+        if kn > 10:
+            continue
+        index = _scan_py.find_refuting_index(f.up, f.size, program, kn)
+        for log2 in (0, 2, 3, 5):
+            assert _scan_py.find_refuting_index(f.up, f.size, program, log2) == index
+        assert (index < 0) == naive_frame_validates(f, phi)
+        # past the first chunk at every size above, the 32nd at chunk_log2 0
+        past_first_chunks += index >= 1 << 5
+    assert past_first_chunks >= 10, past_first_chunks
