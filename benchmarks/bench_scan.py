@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Compare the pure big-int validity scanner against the compiled one.
+"""Time the validity scanner.
 
 Runs the dominant acceptance workloads: frame-formula validity over all
 valuations (2^25 per 5-world frame for the largest formula) and the depth
-axioms.  Each row gives the seconds and the valuations per second of every
-kernel; a scan covers 2^(k*n) valuations when the formula is valid on the
-frame, else its least refuting index plus one.
+axioms.  Each row gives the seconds and the valuations per second; a scan
+covers 2^(k*n) valuations when the formula is valid on the frame, else its
+least refuting index plus one.
 
     PYTHONPATH=src python benchmarks/bench_scan.py [--quick] [--json]
 
@@ -22,11 +22,6 @@ from roachkit import frames as F
 from roachkit import roach as R
 from roachkit._program import compile_formula
 
-try:
-    from roachkit import _scan as _scan_c
-except ImportError:
-    _scan_c = None
-
 
 def workload(quick):
     frames5 = list(F.enumerate_frames(5, "2-roach"))
@@ -42,7 +37,7 @@ def workload(quick):
     return jobs
 
 
-def run(backend, jobs):
+def run(jobs):
     """(workload, frames, seconds, valuations scanned) per job."""
     rows = []
     for name, phi, frames in jobs:
@@ -50,7 +45,7 @@ def run(backend, jobs):
         indices = []
         start = time.perf_counter()
         for frame in frames:
-            indices.append(backend.find_refuting_index(frame.up, frame.size, program))
+            indices.append(_scan_py.find_refuting_index(frame.up, frame.size, program))
         elapsed = time.perf_counter() - start
         valuations = sum(1 << (program.n_vars * frame.size) if index < 0 else index + 1
                          for frame, index in zip(frames, indices))
@@ -64,36 +59,19 @@ def main():
     parser.add_argument("--json", action="store_true", help="print one JSON result line")
     args = parser.parse_args()
 
-    jobs = workload(args.quick)
-    backends = [("pure", _scan_py)]
-    if _scan_c is not None:
-        backends.append(("compiled", _scan_c))
-    elif not args.json:
-        print("compiled backend not built; showing pure only")
-
-    results = {name: run(module, jobs) for name, module in backends}
+    results = run(workload(args.quick))
     if args.json:
         print(json.dumps({"quick": args.quick, "workloads": [
-            {"workload": job_name, "frames": len(frames),
-             "valuations": results["pure"][i][3],
-             **{f"{n}_s": results[n][i][2] for n, _ in backends},
-             **{f"{n}_valuations_per_s": results[n][i][3] / results[n][i][2] for n, _ in backends}}
-            for i, (job_name, _, frames) in enumerate(jobs)]}))
+            {"workload": name, "frames": frames, "valuations": valuations, "seconds": seconds,
+             "valuations_per_s": valuations / seconds}
+            for name, frames, seconds, valuations in results]}))
         return
-    width = max(len(job[0]) for job in jobs)
-    header = (f"{'workload':<{width}}  frames  " + "  ".join(f"{n:>9}" for n, _ in backends)
-              + "  " + "  ".join(f"{n + ' val/s':>14}" for n, _ in backends))
+    width = max(len(name) for name, _, _, _ in results)
+    header = f"{'workload':<{width}}  frames  {'seconds':>9}  {'val/s':>10}"
     print(header)
     print("-" * len(header))
-    for i, (job_name, _, _) in enumerate(jobs):
-        row = [f"{results[n][i][2]:>8.2f}s" for n, _ in backends]
-        rates = [f"{results[n][i][3] / results[n][i][2]:>14.3e}" for n, _ in backends]
-        print(f"{job_name:<{width}}  {results[backends[0][0]][i][1]:>6}  " + "  ".join(row)
-              + "  " + "  ".join(rates))
-    if _scan_c is not None:
-        total_pure = sum(t for _, _, t in results["pure"])
-        total_fast = sum(t for _, _, t in results["compiled"])
-        print(f"\nspeedup: {total_pure / total_fast:.1f}x")
+    for name, frames, seconds, valuations in results:
+        print(f"{name:<{width}}  {frames:>6}  {seconds:>8.2f}s  {valuations / seconds:>10.3e}")
 
 
 if __name__ == "__main__":

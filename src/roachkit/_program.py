@@ -1,8 +1,8 @@
-"""Compilation of formula ASTs into flat programs for the validity scanners.
+"""Compilation of formula ASTs into flat programs for the validity scanner.
 
 A program is a postorder instruction list over slots; common subformulas are
 shared, and each slot records the instruction after which it is dead so the
-scanners can recycle buffers.
+scanner can free its values.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ class Program:
     ops: tuple[tuple[int, int, int], ...]
     variables: tuple[str, ...]
     last_use: tuple[int, ...]
-    max_live: int
 
     @property
     def n_vars(self) -> int:
@@ -71,14 +70,4 @@ def compile_formula(phi: fm.Formula, variables: tuple[str, ...] | None = None) -
             last_use[a] = pc
             last_use[b] = pc
     last_use[len(ops) - 1] = len(ops)  # result outlives the program
-
-    live = 0
-    max_live = 0
-    deaths = {}
-    for slot, lu in enumerate(last_use):
-        deaths.setdefault(lu, []).append(slot)
-    for pc in range(len(ops)):
-        live += 1
-        max_live = max(max_live, live)
-        live -= len(deaths.get(pc, []))
-    return Program(tuple(ops), tuple(variables), tuple(last_use), max_live)
+    return Program(tuple(ops), tuple(variables), tuple(last_use))

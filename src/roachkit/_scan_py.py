@@ -32,8 +32,6 @@ from __future__ import annotations
 
 from ._program import OP_AND, OP_BOT, OP_BOX, OP_DIA, OP_IMP, OP_NOT, OP_OR, OP_TOP, OP_VAR
 
-BACKEND_NAME = "pure"
-
 _pattern_cache: dict[int, list[int]] = {}
 
 

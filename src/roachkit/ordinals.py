@@ -3,7 +3,8 @@ classification of modal logics attached to ordinals and their maximal
 compactifications.
 
 Text syntax: ``w^(<ordinal>)*<nat>`` terms joined by ``+``, with sugar
-``w^k``, ``w``, and bare naturals, e.g. ``w^w + w^2*3 + 1``.
+``w^k``, ``w``, and bare naturals, e.g. ``w^w + w^2*3 + 1``.  Parenthesized
+exponents may nest at most ``formulas.MAX_NESTING`` levels deep.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 
 from .errors import FormulaSyntaxError, PreconditionError
+from .formulas import MAX_NESTING
 
 
 @total_ordering
@@ -124,9 +126,13 @@ def tear_off(gamma: Ordinal) -> tuple[Ordinal, Ordinal]:
 
 
 class _OrdinalParser:
+    """``depth`` counts the parenthesized exponents open around the current
+    position; the parser recurses a few frames per level."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message):
         raise FormulaSyntaxError(message, self.pos)
@@ -167,7 +173,11 @@ class _OrdinalParser:
         if self.eat("^"):
             self.skip_ws()
             if self.eat("("):
+                self.depth += 1
+                if self.depth > MAX_NESTING:
+                    self.error(f"ordinal nests deeper than {MAX_NESTING} levels")
                 exp = self.ordinal()
+                self.depth -= 1
                 if not self.eat(")"):
                     self.error("expected ')'")
             elif self.pos < len(self.text) and self.text[self.pos].isdigit():

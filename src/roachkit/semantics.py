@@ -4,15 +4,14 @@ Boxes read as Alexandroff interior, diamonds as closure: the extension of
 ``[]phi`` is the set of worlds whose whole upset satisfies ``phi``, and
 ``<>phi`` holds wherever some successor satisfies ``phi``.
 
-Frame validity enumerates every valuation.  Two scan backends implement the
-same chunked bit-parallel algorithm: a compiled extension module (built from
-``_scan.pyx``) and a pure-Python fallback on big integers.  The compiled one
-is preferred at import; set ``ROACHKIT_BACKEND=pure`` to force the fallback.
+Frame validity enumerates every valuation.  One kernel does it:
+``_scan_py.find_refuting_index``, a chunked bit-parallel scan on Python big
+integers that returns the least refuting valuation index.  It needs no
+build step and no compiler.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from . import formulas as fm
@@ -23,22 +22,12 @@ from .frames import Frame, mask_of, worlds_of
 
 DEFAULT_BUDGET = 1 << 26
 
-if os.environ.get("ROACHKIT_BACKEND") == "pure":
-    _compiled = None
-else:
-    try:
-        from . import _scan as _compiled  # type: ignore[attr-defined]
-    except ImportError:
-        _compiled = None
-
-BACKEND_NAME = "compiled" if _compiled is not None else "pure"
+# the one validity kernel; the benchmark harness records this name
+BACKEND_NAME = "pure"
 
 
-def _scan(up, n_worlds, program, backend=None):
-    chosen = backend or BACKEND_NAME
-    kn = program.n_vars * n_worlds
-    if chosen == "compiled" and _compiled is not None and kn >= 6:
-        return _compiled.find_refuting_index(tuple(up), n_worlds, program)
+# _unused: callers that wrap this seam may still pass a fourth argument
+def _scan(up, n_worlds, program, _unused=None):
     return _scan_py.find_refuting_index(up, n_worlds, program)
 
 
@@ -114,7 +103,7 @@ def _decode_valuation(index: int, variables, n_worlds: int) -> dict:
 _last_compiled = (None, None, None)
 
 
-def find_refutation(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET, backend=None):
+def find_refutation(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET):
     """Least refuting (valuation, world) pair, or None when valid.
 
     Raises BudgetExceededError when the valuation space is larger than the
@@ -132,7 +121,7 @@ def find_refutation(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET,
             f"{program.n_vars} variables on {frame.size} worlds needs {total} valuations"
             f" (budget {budget})"
         )
-    index = _scan(frame.up, frame.size, program, backend=backend)
+    index = _scan(frame.up, frame.size, program)
     if index < 0:
         return None
     valuation = _decode_valuation(index, program.variables, frame.size)
@@ -143,6 +132,6 @@ def find_refutation(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET,
     return valuation, world
 
 
-def frame_validates(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET, backend=None) -> bool:
+def frame_validates(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET) -> bool:
     """True when the formula holds at every world under every valuation."""
-    return find_refutation(frame, phi, budget=budget, backend=backend) is None
+    return find_refutation(frame, phi, budget=budget) is None

@@ -191,6 +191,18 @@ def test_deep_formulas_exit_1_in_one_line():
         assert len(proc.stderr.strip().splitlines()) == 1
 
 
+def test_deep_ordinal_exits_1_in_one_line():
+    src = os.path.dirname(os.path.dirname(roachkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    text = "w^(" * 3000 + "1" + ")" * 3000
+    proc = subprocess.run([sys.executable, "-m", "roachkit.cli", "ordinal-classify", text],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ordinal nests deeper")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_oversized_frame_exits_1(tmp_path, capsys):
     path = tmp_path / "frame.json"
     path.write_text('{"size": 3000000, "le": []}')

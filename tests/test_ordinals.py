@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from roachkit import formulas as fm
 from roachkit import ordinals as O
 from roachkit.errors import FormulaSyntaxError, PreconditionError
 
@@ -74,6 +75,15 @@ def test_parse_errors():
     for bad in ["", "w^", "w +", "x", "w^()", "w*0", "1 + + 1"]:
         with pytest.raises(FormulaSyntaxError):
             p(bad)
+
+
+def test_parse_caps_nesting():
+    cap = fm.MAX_NESTING
+    deepest = p("w^(" * cap + "1" + ")" * cap)
+    assert p(O.render_ordinal(deepest)) == deepest
+    for text in ("w^(" * (cap + 1) + "1" + ")" * (cap + 1), "w^(" * 3000 + "1" + ")" * 3000):
+        with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+            p(text)
 
 
 def test_ordinal_invariants_enforced():

@@ -148,43 +148,6 @@ def test_refutation_is_least_index():
     assert S.extension_mask(S.Model(fork, valuation), phi) != (1 << fork.size) - 1
 
 
-def test_backends_agree():
-    compiled = pytest.importorskip("roachkit._scan")
-    rng = random.Random(8)
-    frames = [f for n in range(2, 6) for f in F.enumerate_frames(n, "rooted")]
-
-    def random_formula(depth, names):
-        if depth == 0 or rng.random() < 0.25:
-            return fm.Var(rng.choice(names))
-        kind = rng.randrange(6)
-        if kind == 0:
-            return fm.Not(random_formula(depth - 1, names))
-        if kind == 1:
-            return fm.Box(random_formula(depth - 1, names))
-        if kind == 2:
-            return fm.Diamond(random_formula(depth - 1, names))
-        left = random_formula(depth - 1, names)
-        right = random_formula(depth - 1, names)
-        return [fm.And, fm.Or, fm.Implies][kind - 3](left, right)
-
-    checked = 0
-    attempts = 0
-    while checked < 150 and attempts < 2000:
-        attempts += 1
-        f = rng.choice(frames)
-        n_vars = rng.randint(2, 4)
-        phi = random_formula(rng.randint(2, 4), [f"p{i}" for i in range(n_vars)])
-        program = compile_formula(phi)
-        if program.n_vars * f.size < 6:
-            continue
-        pure = _scan_py.find_refuting_index(f.up, f.size, program)
-        fast = compiled.find_refuting_index(f.up, f.size, program)
-        small_chunks = compiled.find_refuting_index(f.up, f.size, program, 8)
-        assert pure == fast == small_chunks
-        checked += 1
-    assert checked == 150
-
-
 def test_pattern_table_bits_are_index_bits():
     # bit j of pattern t is bit t of j, for every chunk size the scanner uses
     for log2 in range(17):
@@ -219,6 +182,34 @@ def _random_formula(rng, depth, names):
 def _refutes(frame, phi, variables, index):
     valuation = S._decode_valuation(index, variables, frame.size)
     return S.extension_mask(S.Model(frame, valuation), phi) != (1 << frame.size) - 1
+
+
+def test_random_formulas_scan_alike_at_every_chunk_size():
+    # 150 seeded formulas of 2-4 variables on rooted frames of 2-5 worlds,
+    # k*n >= 6, so up to 2^20 valuations; the naive oracle is checked where
+    # k*n <= 12 and is too slow beyond
+    rng = random.Random(8)
+    frames = [f for n in range(2, 6) for f in F.enumerate_frames(n, "rooted")]
+    checked = oracle_checked = attempts = 0
+    while checked < 150 and attempts < 2000:
+        attempts += 1
+        f = rng.choice(frames)
+        n_vars = rng.randint(2, 4)
+        phi = _random_formula(rng, rng.randint(2, 4), [f"p{i}" for i in range(n_vars)])
+        program = compile_formula(phi)
+        kn = program.n_vars * f.size
+        if kn < 6:
+            continue
+        index = _scan_py.find_refuting_index(f.up, f.size, program)
+        for log2 in (16, 8, 3):
+            assert _scan_py.find_refuting_index(f.up, f.size, program, log2) == index
+        if index >= 0:
+            assert _refutes(f, phi, program.variables, index)
+        if kn <= 12:
+            assert (index < 0) == naive_frame_validates(f, phi)
+            oracle_checked += 1
+        checked += 1
+    assert checked == 150 and oracle_checked == 123
 
 
 def test_chunked_scan_matches_naive_oracle():
@@ -290,9 +281,9 @@ def test_find_refutation_recompiles_for_every_new_formula(monkeypatch):
     scanned = []
     original_scan = S._scan
 
-    def recording_scan(up, n_worlds, program, backend=None):
+    def recording_scan(up, n_worlds, program):
         scanned.append(program)
-        return original_scan(up, n_worlds, program, backend)
+        return original_scan(up, n_worlds, program)
 
     monkeypatch.setattr(S, "_scan", recording_scan)
     for phi, want in zip(formulas, expected):
