@@ -189,8 +189,10 @@ _PREFIX = (("~", Not), ("[]", Box), ("<>", Diamond))
 class _Parser:
     """Each parsing method returns ``(formula, height)``; ``depth`` counts
     the unary operators, parentheses and ``->`` right operands open around
-    the current position.  Every returned height plus the depth it was
-    parsed at stays within ``MAX_NESTING``."""
+    the current position, a unary operator and the parenthesis right after
+    it counting once.  Every returned height plus the depth it was parsed
+    at stays within ``MAX_NESTING``, so ``render`` of any formula at most
+    ``MAX_NESTING`` connectives high parses back."""
 
     def __init__(self, text: str):
         self.text = text
@@ -266,7 +268,13 @@ class _Parser:
         for token, cls in _PREFIX:
             if self.text.startswith(token, self.pos):
                 self.pos += len(token)
-                phi, height = self.nested(self.unary)
+                self.skip_ws()
+                if self.text.startswith("(", self.pos):
+                    # the parenthesis opens the operand's level, so that
+                    # "~(p & q)" nests one level, as the formula does
+                    phi, height = self.atom()
+                else:
+                    phi, height = self.nested(self.unary)
                 return cls(phi), height + 1
         return self.atom()
 

@@ -484,6 +484,8 @@ def _filter_predicate(name: str):
     if name == "s41-rooted":
         return lambda f: classify_frame(f).rooted and classify_frame(f).s41
     if name == "2-roach":
+        # enumeration generates these classes directly; the filter stays as
+        # the reference the generator is tested against
         from . import roach
 
         def is_roach(f):
@@ -504,13 +506,23 @@ def _filter_predicate(name: str):
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(n: int, filter_name: str) -> tuple[Frame, ...]:
+    if filter_name == "2-roach":
+        from . import roach
+
+        return roach.two_roach_classes(n)
     pred = _filter_predicate(filter_name)
     return tuple(f for f in _preorder_classes(n) if pred(f))
 
 
 def enumerate_frames(n: int, filter_name: str = "all", ceiling: int = ENUMERATION_CEILING):
     """Yield one representative per isomorphism class of preorders on ``n``
-    worlds satisfying the named filter, in canonical order."""
+    worlds satisfying the named filter, in canonical order.
+
+    The ``2-roach`` classes are generated from their pieces
+    (``roach.two_roach_classes``), not filtered from the ``all`` classes:
+    they are the same classes in the same order, but for ``n >= 5`` a
+    representative may be labelled differently from the one the ``all``
+    enumeration holds for its class."""
     if n < 1:
         raise CeilingExceededError("frame size must be at least 1")
     if n > ceiling:

@@ -10,11 +10,14 @@ it and every world outside its downset sees a unique maximal point.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .frames import (
     Frame,
+    _preorder_classes,
+    canonical_key,
     classify_frame,
     cluster_masks,
     depth_vector,
@@ -192,6 +195,83 @@ def is_2_roach(frame: Frame) -> SplittingCertificate | None:
                 t.append((frame.up[w] & max_mask).bit_length() - 1)
         return SplittingCertificate(s, 2, tuple(t))
     return None
+
+
+def two_roach_classes(n: int) -> tuple[Frame, ...]:
+    """One 2-roach per isomorphism class on ``n`` worlds, in canonical-key
+    order, built from the pieces of the characterization ``is_2_roach``
+    decides instead of filtered from every preorder.
+
+    With one maximal point the frame is a rooted preorder below a simple
+    top.  With k >= 2 maxima there is a simple point s seeing exactly them,
+    and its downset is either s alone (the k-fork) or a rooted preorder R
+    below s.  Each maximum m_i has a tail: a possibly empty preorder whose
+    worlds see m_i and no other maximum.  R sees the tails through an
+    antitone map from its worlds to upsets of their union, and its root
+    sees every tail world.  Every piece has fewer than n worlds, so no
+    preorder on n worlds is built.  Candidates are laid out as R, s, the
+    tails, the maxima, and the first candidate of each class is kept.
+    """
+    if n == 1:
+        return (Frame(1, (1,)),)
+    reps = {}
+    for frame in itertools.chain(_one_maximum(n), _several_maxima(n)):
+        reps.setdefault(canonical_key(frame), frame)
+    return tuple(reps[key] for key in sorted(reps))
+
+
+def _rooted_classes(m: int) -> list[Frame]:
+    full = (1 << m) - 1
+    return [frame for frame in _preorder_classes(m) if full in frame.up]
+
+
+def _one_maximum(n: int):
+    top = 1 << (n - 1)
+    for body in _rooted_classes(n - 1):
+        yield Frame(n, tuple(mask | top for mask in body.up) + (top,))
+
+
+def _several_maxima(n: int):
+    for k in range(2, n):
+        rest = n - 1 - k  # worlds other than s and the maxima
+        if rest == 0:
+            yield Frame(n, ((1 << n) - 1,) + tuple(1 << m for m in range(1, n)))
+        for below in range(1, rest + 1):
+            t = rest - below
+            # a tail is given by its upset masks; () is the empty tail
+            tails = [()] + [f.up for m in range(1, t + 1) for f in _preorder_classes(m)]
+            for body in _rooted_classes(below):
+                for chosen in itertools.combinations_with_replacement(tails, k):
+                    if sum(map(len, chosen)) == t:
+                        yield from _with_tails(body, chosen)
+
+
+def _with_tails(body: Frame, tails: tuple[tuple[int, ...], ...]):
+    """Every frame with ``body`` below s, one tail per maximum, and an
+    antitone map sending the body's root to all of the tails."""
+    b, t, k = body.size, sum(map(len, tails)), len(tails)
+    s, first_max = b, b + 1 + t
+    n = first_max + k
+    maxima = ((1 << k) - 1) << first_max
+    up = [0] * b + [(1 << s) | maxima]
+    for i, tail in enumerate(tails):
+        offset = len(up)
+        up.extend((mask << offset) | (1 << (first_max + i)) for mask in tail)
+    up.extend(1 << m for m in range(first_max, n))
+    tail_mask = ((1 << t) - 1) << (s + 1)
+    upsets = [mask for mask in (sub << (s + 1) for sub in range(1 << t))
+              if all(not up[x] & tail_mask & ~mask for x in worlds_of(mask))]
+    full = (1 << b) - 1
+    free = [w for w in range(b) if body.up[w] != full]
+    for choice in itertools.product(upsets, repeat=len(free)):
+        seen = [tail_mask] * b
+        for w, mask in zip(free, choice):
+            seen[w] = mask
+        if any(seen[v] & ~seen[w] for w in free for v in worlds_of(body.up[w])):
+            continue
+        for w in range(b):
+            up[w] = body.up[w] | (1 << s) | maxima | seen[w]
+        yield Frame(n, tuple(up))
 
 
 def unique_splitting_point(frame: Frame) -> int:

@@ -6,7 +6,9 @@ import itertools
 
 import pytest
 
+from roachkit import decision as D
 from roachkit import formulas as fm
+from roachkit import frames as F
 from roachkit import semantics as S
 from roachkit.frames import Frame, worlds_of
 
@@ -185,9 +187,24 @@ def naive_frame_validates(frame, phi):
     return True
 
 
+def reference_decide_lr2(phi, bound):
+    """``decide_lr2``'s search over the 2-roach classes filtered from every
+    preorder class.  The generated enumeration has the same classes in the
+    same order, so the verdicts agree in kind, size and refuting class; for
+    frames of five or more worlds the representatives, and with them the
+    refuting valuations, may be labelled differently."""
+    is_roach = F._filter_predicate("2-roach")
+    for size in range(1, bound + 1):
+        for frame in F.enumerate_frames(size, "all"):
+            if is_roach(frame):
+                refutation = S.find_refutation(frame, phi)
+                if refutation is not None:
+                    valuation, world = refutation
+                    return D.Refuted(S.Model(frame, valuation), world)
+    return D.NoCountermodelUpTo(bound)
+
+
 @pytest.fixture(scope="session")
 def small_frames():
     """All rooted frames with up to 4 worlds."""
-    from roachkit import frames as F
-
     return [f for n in range(1, 5) for f in F.enumerate_frames(n, "rooted")]

@@ -92,10 +92,17 @@ def test_parse_caps_nesting():
     assert fm.parse("(" * cap + "p" + ")" * cap) == p
     assert fm.parse(" & ".join(["p"] * (cap + 1))) == conjoined
     assert fm.parse(" -> ".join(["p"] * (cap + 1))) == implied
+    # a unary operator and the parenthesis after it are one level
+    assert fm.parse("~(" * cap + "p" + ")" * cap) == negated
+    assert fm.parse("(~" * (cap - 1) + "p" + ")" * (cap - 1)) == negated.operand
+    guarded = p
+    for _ in range(cap // 2):
+        guarded = fm.Box(fm.And(p, guarded))
+    assert fm.parse(fm.render(guarded)) == guarded
     deep = ["~" * (cap + 1) + "p", "(" * (cap + 1) + "p" + ")" * (cap + 1),
             " & ".join(["p"] * (cap + 2)), " | ".join(["p"] * (cap + 2)),
             " -> ".join(["p"] * (cap + 2)), "[]<>" * (cap // 2) + "~p",
-            "(~" * (cap // 2 + 1) + "p" + ")" * (cap // 2 + 1),
+            "~(" * (cap + 1) + "p" + ")" * (cap + 1), "(~" * cap + "p" + ")" * cap,
             "~" * 3000 + "p", "(" * 3000 + "p" + ")" * 3000]
     for text in deep:
         with pytest.raises(FormulaSyntaxError, match="nests deeper"):

@@ -170,6 +170,18 @@ def test_willow_trees_are_2_roaches():
         assert willows <= roaches
 
 
+@pytest.mark.parametrize("n,expected", [(1, 1), (2, 1), (3, 3), (4, 7), (5, 19), (6, 64), (7, 255)])
+def test_generated_2_roaches_are_the_filtered_classes(n, expected):
+    is_roach = F._filter_predicate("2-roach")
+    filtered = [f for f in F.enumerate_frames(n, "all", ceiling=7) if is_roach(f)]
+    generated = list(F.enumerate_frames(n, "2-roach", ceiling=7))
+    assert [F.canonical_key(f) for f in generated] == [F.canonical_key(f) for f in filtered]
+    assert len(generated) == expected
+    if n <= 4:
+        # the representatives, and so decide's countermodels, are unchanged
+        assert [f.up for f in generated] == [f.up for f in filtered]
+
+
 def test_minimal_witness_identity_cases():
     for name in ("F1", "F2", "F3"):
         f = R.builtin(name)
