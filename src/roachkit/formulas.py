@@ -11,7 +11,6 @@ Formula text may nest at most ``MAX_NESTING`` levels deep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import FormulaSyntaxError, PreconditionError
 from .frames import Frame, classify_frame
@@ -391,7 +390,6 @@ def axiom(name: str, n: int | None = None) -> Formula:
 # ---------------------------------------------------------------------------
 # Fine-Jankov formulas
 
-@lru_cache(maxsize=None)
 def fine_jankov(frame: Frame) -> Formula:
     """The frame formula of a finite rooted frame.
 

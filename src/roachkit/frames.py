@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .errors import CeilingExceededError, FrameFormatError
 
@@ -80,21 +80,13 @@ class Frame:
         return f"Frame(size={self.size}, edges={edges})"
 
 
-def _closure(size: int, up: list[int]) -> tuple[int, ...]:
-    changed = True
-    while changed:
-        changed = False
-        for w in range(size):
-            mask = up[w]
-            acc = mask
-            rest = mask
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                acc |= up[v]
-            if acc != mask:
-                up[w] = acc
-                changed = True
+def _closure(up: list[int]) -> tuple[int, ...]:
+    """Transitive closure in one Warshall pass: after step ``k``, every
+    upset that holds world ``k`` holds ``k``'s upset too."""
+    for k in range(len(up)):
+        bit, row = 1 << k, up[k]
+        if row != bit:  # a world that sees only itself adds nothing
+            up = [mask | row if mask & bit else mask for mask in up]
     return tuple(up)
 
 
@@ -107,14 +99,23 @@ def normalize_frame(pairs, size, labels=None, strict=False) -> Frame:
         if not (0 <= u < size and 0 <= w < size):
             raise FrameFormatError(f"edge ({u}, {w}) out of range for size {size}")
         up[u] |= 1 << w
-    closed = _closure(size, list(up))
-    if strict:
-        given = [1 << w for w in range(size)]
-        for u, w in pairs:
-            given[u] |= 1 << w
-        if tuple(given) != closed:
-            raise FrameFormatError("relation is not reflexive-transitive closed (strict mode)")
+    closed = _closure(up)
+    if strict and tuple(up) != closed:
+        raise FrameFormatError("relation is not reflexive-transitive closed (strict mode)")
     return Frame(size, closed, tuple(labels) if labels else None)
+
+
+def _per_frame(fn):
+    """Memoize ``fn(frame)`` in the frame's own ``__dict__``, so the value is
+    computed once per frame object and freed with it."""
+    slot = "_" + fn.__name__
+
+    @wraps(fn)
+    def memo(frame):
+        if slot not in frame.__dict__:
+            frame.__dict__[slot] = fn(frame)
+        return frame.__dict__[slot]
+    return memo
 
 
 def _order_data(up: tuple[int, ...]):
@@ -122,10 +123,11 @@ def _order_data(up: tuple[int, ...]):
     (as world lists), its down mask, its cluster mask and its depth, the
     longest strictly ascending chain of clusters from it.
 
-    Uncached, so that callers who see a frame once (enumeration candidates
-    in ``canonical_key``, generated subframes and configurations in
-    ``morphisms.find_onto_p_morphism``) fill no cache; the cached per-frame
-    views are ``down_masks``, ``cluster_masks`` and ``depth_vector``.
+    Not memoized: the world lists take about 1 KB per frame, and most
+    frames it sees (enumeration candidates in ``canonical_key``, subframes
+    and configurations in ``morphisms.find_onto_p_morphism``) are looked at
+    once.  The views kept on the frame are ``down_masks``, ``cluster_masks``
+    and ``depth_vector``.
     """
     n = len(up)
     succ = [worlds_of(mask) for mask in up]
@@ -147,7 +149,7 @@ def _order_data(up: tuple[int, ...]):
     return succ, pred, down, cluster, depth
 
 
-@lru_cache(maxsize=None)
+@_per_frame
 def down_masks(frame: Frame) -> tuple[int, ...]:
     return tuple(_order_data(frame.up)[2])
 
@@ -202,7 +204,7 @@ def order_query(frame: Frame, seed, direction: str) -> set[int]:
     raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
 
 
-@lru_cache(maxsize=None)
+@_per_frame
 def cluster_masks(frame: Frame) -> tuple[int, ...]:
     """Per-world bitmask of its cluster (mutual-reachability class)."""
     return tuple(_order_data(frame.up)[3])
@@ -236,7 +238,7 @@ def clusters_and_skeleton(frame: Frame):
     return partition, skeleton, tuple(pi)
 
 
-@lru_cache(maxsize=None)
+@_per_frame
 def depth_vector(frame: Frame) -> tuple[int, ...]:
     """Depth of each world: longest strictly ascending chain of clusters."""
     return tuple(_order_data(frame.up)[4])
@@ -266,7 +268,7 @@ class FrameFlags:
     min_points: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+@_per_frame
 def classify_frame(frame: Frame) -> FrameFlags:
     full = (1 << frame.size) - 1
     down = down_masks(frame)
@@ -350,7 +352,7 @@ def _twin_placements(classes: list, slots: list):
             yield tuple(zip(first, chosen)) + tail
 
 
-@lru_cache(maxsize=None)
+@_per_frame
 def canonical_key(frame: Frame):
     """Isomorphism-invariant key: ``(size, code)`` where ``code`` is the least
     relation encoding (bit ``perm[u] * size + perm[w]`` for each ``u <= w``)
@@ -449,7 +451,10 @@ def _compositions(total: int, parts: int):
 
 
 def _expand(poset: Frame, sizes: tuple[int, ...]) -> Frame:
-    """Blow each poset element up into a cluster of the given size."""
+    """Blow each poset element up into a cluster of the given size.  With
+    every size 1 this is ``poset`` itself, so values memoized on it serve."""
+    if max(sizes) == 1:
+        return poset
     starts = []
     total = 0
     for s in sizes:

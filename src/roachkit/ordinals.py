@@ -4,7 +4,8 @@ compactifications.
 
 Text syntax: ``w^(<ordinal>)*<nat>`` terms joined by ``+``, with sugar
 ``w^k``, ``w``, and bare naturals, e.g. ``w^w + w^2*3 + 1``.  Parenthesized
-exponents may nest at most ``formulas.MAX_NESTING`` levels deep.
+exponents may nest at most ``formulas.MAX_NESTING`` levels deep, and a
+natural may have at most ``MAX_NAT_DIGITS`` digits.
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ from functools import total_ordering
 
 from .errors import FormulaSyntaxError, PreconditionError
 from .formulas import MAX_NESTING
+
+# Longest natural number that ordinal text may spell out.  Python refuses to
+# convert integers of more than 4,300 digits to or from text, so the cap sits
+# far enough below that for sums of parsed naturals to still render.
+MAX_NAT_DIGITS = 1000
 
 
 @total_ordering
@@ -155,6 +161,8 @@ class _OrdinalParser:
             self.pos += 1
         if start == self.pos:
             self.error("expected a natural number")
+        if self.pos - start > MAX_NAT_DIGITS:
+            raise FormulaSyntaxError(f"natural number longer than {MAX_NAT_DIGITS} digits", start)
         return int(self.text[start : self.pos])
 
     def ordinal(self) -> Ordinal:

@@ -1,8 +1,12 @@
+import gc
 import json
+import random
+import weakref
 
 import pytest
 
 from conftest import naive_canonical_key, naive_depths, naive_preorder_classes
+from roachkit import formulas as fm
 from roachkit import frames as F
 from roachkit.errors import CeilingExceededError, FrameFormatError
 from roachkit.roach import builtin
@@ -39,6 +43,36 @@ def test_strict_mode_rejects_unclosed():
         F.normalize_frame([(0, 1), (1, 2)], 3, strict=True)
     f = F.normalize_frame([(0, 1), (1, 2), (0, 2)], 3, strict=True)
     assert f.le(0, 2)
+
+
+def reachable(pairs, u):
+    """Worlds reachable from ``u`` along ``pairs``, ``u`` included (BFS)."""
+    seen, todo = {u}, [u]
+    while todo:
+        v = todo.pop()
+        for a, b in pairs:
+            if a == v and b not in seen:
+                seen.add(b)
+                todo.append(b)
+    return seen
+
+
+def test_normalize_matches_reachability_on_random_relations():
+    rng = random.Random(5)
+    cyclic = 0
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+        expected = {(u, w) for u in range(n) for w in reachable(pairs, u)}
+        f = F.normalize_frame(pairs, n)
+        assert set(f.pairs()) == expected
+        cyclic += not F.classify_frame(f).partial_order
+        if expected == set(pairs) | {(w, w) for w in range(n)}:
+            assert F.normalize_frame(pairs, n, strict=True) == f
+        else:
+            with pytest.raises(FrameFormatError, match="strict"):
+                F.normalize_frame(pairs, n, strict=True)
+    assert cyclic > 100
 
 
 def test_order_query_up_from_root_of_t2():
@@ -107,6 +141,23 @@ def test_order_views_match_definitions(n):
             sum(1 << u for u in worlds if f.le(u, w)) for w in worlds)
         assert F.cluster_masks(f) == tuple(
             sum(1 << v for v in worlds if f.le(w, v) and f.le(v, w)) for w in worlds)
+
+
+def test_derived_values_are_freed_with_their_frame():
+    f = F.normalize_frame([(0, 1), (1, 0), (0, 2)], 3)
+    for view in (F.down_masks, F.cluster_masks, F.depth_vector, F.classify_frame,
+                 F.canonical_key, fm.fine_jankov):
+        view(f)
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+
+
+def test_expand_with_unit_clusters_is_the_poset_itself():
+    for k in range(1, 6):
+        for p in F._posets(k):
+            assert F._expand(p, (1,) * p.size) is p
 
 
 def test_depth_monotone_and_cluster_constant():

@@ -86,6 +86,17 @@ def test_parse_caps_nesting():
             p(text)
 
 
+def test_parse_caps_natural_length():
+    longest = "9" * O.MAX_NAT_DIGITS
+    assert p(longest).as_int() == int(longest)
+    # a sum of parsed naturals may pass the cap, but it still renders
+    doubled = str(2 * int(longest))
+    assert O.render_ordinal(p(f"w*{longest} + w*{longest} + 1")) == f"w*{doubled} + 1"
+    for text in ("1" * (O.MAX_NAT_DIGITS + 1), "w^" + "1" * 5000, "w*" + "9" * 4300):
+        with pytest.raises(FormulaSyntaxError, match="longer than"):
+            p(text)
+
+
 def test_ordinal_invariants_enforced():
     with pytest.raises(ValueError):
         O.Ordinal(((O.ZERO, 0),))
