@@ -410,6 +410,55 @@ def canonical_key(frame: Frame):
     return (n, best)
 
 
+def automorphisms(frame: Frame) -> list[tuple[int, ...]]:
+    """Every automorphism of ``frame`` as a tuple ``g`` with ``g[w]`` the
+    image of world ``w``, in lexicographic order, so the identity is first.
+
+    A backtracking search that places the worlds in index order.  World
+    ``w`` goes only to an unused world with its (depth, upset size, downset
+    size) and with the same upset and downset among the worlds placed so
+    far.  The list has one entry per automorphism, so it is as long as the
+    group is large; it is not memoized.
+    """
+    n = frame.size
+    up = frame.up
+    succ, pred, down, _, depth = _order_data(up)
+    signature = [(depth[w], len(succ[w]), len(pred[w])) for w in range(n)]
+    targets = [[v for v in range(n) if signature[v] == signature[w]] for w in range(n)]
+    found = []
+    g = [0] * n
+
+    def place(w: int, used: int):
+        if w == n:
+            found.append(tuple(g))
+            return
+        # the images of w's upset and downset among the placed worlds
+        img_up = img_down = 0
+        for u in range(w):
+            if (up[w] >> u) & 1:
+                img_up |= 1 << g[u]
+            if (down[w] >> u) & 1:
+                img_down |= 1 << g[u]
+        for v in targets[w]:
+            if not (used >> v) & 1 and up[v] & used == img_up and down[v] & used == img_down:
+                g[w] = v
+                place(w + 1, used | (1 << v))
+
+    place(0, 0)
+    return found
+
+
+def _orbit_least(items, images):
+    """The items, met in increasing order, that are least in their orbit:
+    those no earlier item maps to.  ``images(item)`` lists the item's
+    images under every element of the group."""
+    seen = set()
+    for item in items:
+        if item not in seen:
+            seen.update(images(item))
+            yield item
+
+
 def are_isomorphic(f: Frame, g: Frame) -> bool:
     if f.size != g.size:
         return False
@@ -425,17 +474,49 @@ def _extend_poset(frame: Frame, downset_mask_: int) -> Frame:
 
 
 def _downsets(frame: Frame) -> list[int]:
-    return [mask for mask in range(1 << frame.size) if downset_mask(frame, mask) == mask]
+    """Every downset of ``frame`` as a mask, in increasing order.  A mask's
+    downward closure is that of the mask without its lowest world, joined
+    with that world's down mask."""
+    down = down_masks(frame)
+    closure = [0] * (1 << frame.size)
+    found = [0]
+    for mask in range(1, 1 << frame.size):
+        low = mask & -mask
+        closure[mask] = closure[mask ^ low] | down[low.bit_length() - 1]
+        if closure[mask] == mask:
+            found.append(mask)
+    return found
+
+
+def _orbit_least_downsets(poset: Frame):
+    """The downsets of ``poset`` that are least, as masks, in their orbit
+    under its automorphisms: a maximal element added over two downsets of
+    one orbit gives isomorphic posets."""
+    downsets = _downsets(poset)
+    group = automorphisms(poset)[1:]
+    if not group:
+        return downsets
+    bits = [[1 << v for v in g] for g in group]
+
+    def images(dmask):
+        members = worlds_of(dmask)
+        return [sum(map(b.__getitem__, members)) for b in bits]
+    return _orbit_least(downsets, images)
 
 
 @lru_cache(maxsize=None)
 def _posets(k: int) -> tuple[Frame, ...]:
-    """All partial orders on k elements, one per isomorphism class."""
+    """All partial orders on k elements, one per isomorphism class, in
+    canonical order.  Each class on k - 1 elements grows by a new maximal
+    element over one downset per automorphism orbit, the least; growths of
+    different parents can still be isomorphic, so they are deduped by key.
+    The class a parent and downset reach first is kept, as when every
+    downset was tried."""
     if k == 1:
         return (Frame(1, (1,)),)
     reps = {}
     for smaller in _posets(k - 1):
-        for dmask in _downsets(smaller):
+        for dmask in _orbit_least_downsets(smaller):
             candidate = _extend_poset(smaller, dmask)
             reps.setdefault(canonical_key(candidate), candidate)
     return tuple(reps[key] for key in sorted(reps))
@@ -448,6 +529,20 @@ def _compositions(total: int, parts: int):
     for first in range(1, total - parts + 2):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def _orbit_least_compositions(poset: Frame, n: int):
+    """The compositions of n into cluster sizes, one per element of
+    ``poset``, that are lexicographically least in their orbit under its
+    automorphisms, in ``_compositions`` order.  The composition ``s`` maps
+    to ``(s[g[0]], s[g[1]], ...)`` under ``g``."""
+    compositions = _compositions(n, poset.size)
+    if poset.size in (1, n):  # a single composition
+        return compositions
+    group = automorphisms(poset)[1:]
+    if not group:
+        return compositions
+    return _orbit_least(compositions, lambda s: [tuple(map(s.__getitem__, g)) for g in group])
 
 
 def _expand(poset: Frame, sizes: tuple[int, ...]) -> Frame:
@@ -472,13 +567,18 @@ def _expand(poset: Frame, sizes: tuple[int, ...]) -> Frame:
 
 @lru_cache(maxsize=None)
 def _preorder_classes(n: int) -> tuple[Frame, ...]:
-    reps = {}
+    """All preorders on n worlds, one per isomorphism class, in canonical
+    order.  A class is its skeleton, a poset class P, with a cluster size
+    per element of P; two size compositions over P give the same class
+    exactly when an automorphism of P maps one onto the other.  So each
+    poset is expanded by the lexicographically least composition of each
+    orbit, the first that ``_compositions`` yields, every expansion is a
+    new class, and each class is keyed once, for the sort."""
+    classes = []
     for k in range(1, n + 1):
         for poset in _posets(k):
-            for sizes in _compositions(n, k):
-                frame = _expand(poset, sizes)
-                reps.setdefault(canonical_key(frame), frame)
-    return tuple(reps[key] for key in sorted(reps))
+            classes.extend(_expand(poset, sizes) for sizes in _orbit_least_compositions(poset, n))
+    return tuple(sorted(classes, key=canonical_key))
 
 
 def _filter_predicate(name: str):
@@ -523,6 +623,11 @@ def enumerate_frames(n: int, filter_name: str = "all", ceiling: int = ENUMERATIO
     """Yield one representative per isomorphism class of preorders on ``n``
     worlds satisfying the named filter, in canonical order.
 
+    The classes come from ``_preorder_classes``: each poset class is
+    expanded by the orbit-least cluster-size compositions under its
+    automorphisms, the posets themselves grow over orbit-least downsets,
+    and each class is keyed once, for the sort.
+
     The ``2-roach`` classes are generated from their pieces
     (``roach.two_roach_classes``), not filtered from the ``all`` classes:
     they are the same classes in the same order, but for ``n >= 5`` a
@@ -560,6 +665,8 @@ def frame_from_json(text: str) -> Frame:
         raise FrameFormatError('"size" must be an integer')
     if size > MAX_FRAME_WORLDS:
         raise FrameFormatError(f'"size" {size} is above the limit of {MAX_FRAME_WORLDS} worlds')
+    if not isinstance(data["le"], list):
+        raise FrameFormatError('"le" must be a list of [u, w] pairs')
     pairs = []
     for entry in data["le"]:
         if (not isinstance(entry, (list, tuple)) or len(entry) != 2

@@ -313,16 +313,15 @@ CONJECTURED_LINF = LogicId(
 def logic_of_ordinal_space(gamma: Ordinal) -> LogicId:
     """The logic of a nonzero ordinal viewed as a space: S4.Grz_n when it
     lies in (w^(n-1), w^n], S4.Grz from w^w on.  The single point 1 is read
-    as S4.Grz_1."""
+    as S4.Grz_1.  The least such n is read off the leading exponent e:
+    max(1, e) when gamma is w^e itself, else e + 1."""
     if gamma.is_zero():
         raise PreconditionError("the empty ordinal has no logic")
     w_omega = omega_power(OMEGA)
     if not gamma < w_omega:
         return S4GRZ
-    n = 1
-    while omega_power(from_int(n)) < gamma:
-        n += 1
-    return s4grz_n(n)
+    e = gamma.leading_exponent().as_int()
+    return s4grz_n(max(1, e) if gamma == omega_power(from_int(e)) else e + 1)
 
 
 def classify_beta_logic(gamma: Ordinal) -> LogicId:

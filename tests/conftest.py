@@ -3,14 +3,16 @@
 library's answers are checked against independent code paths."""
 
 import itertools
+from functools import lru_cache
 
 import pytest
 
 from roachkit import decision as D
 from roachkit import formulas as fm
 from roachkit import frames as F
+from roachkit import ordinals as O
 from roachkit import semantics as S
-from roachkit.frames import Frame, worlds_of
+from roachkit.frames import Frame, canonical_key, worlds_of
 
 
 def naive_preorder_classes(n):
@@ -53,6 +55,42 @@ def naive_preorder_classes(n):
             seen.add(key)
             reps.append(Frame(n, tuple(up)))
     return reps
+
+
+@lru_cache(maxsize=None)
+def reference_posets(k):
+    """The poset classes by trying every downset of every parent and
+    deduping all the candidates by canonical key, without automorphisms."""
+    if k == 1:
+        return (Frame(1, (1,)),)
+    reps = {}
+    for smaller in reference_posets(k - 1):
+        for dmask in [m for m in range(1 << smaller.size) if F.downset_mask(smaller, m) == m]:
+            candidate = F._extend_poset(smaller, dmask)
+            reps.setdefault(canonical_key(candidate), candidate)
+    return tuple(reps[key] for key in sorted(reps))
+
+
+def reference_preorder_classes(n):
+    """The preorder classes by expanding every poset class by every
+    cluster-size composition and deduping all of them by canonical key."""
+    reps = {}
+    for k in range(1, n + 1):
+        for poset in reference_posets(k):
+            for sizes in F._compositions(n, k):
+                frame = F._expand(poset, sizes)
+                reps.setdefault(canonical_key(frame), frame)
+    return tuple(reps[key] for key in sorted(reps))
+
+
+def reference_logic_of_ordinal_space(gamma):
+    """``logic_of_ordinal_space`` by stepping n up until w^n reaches gamma."""
+    if not gamma < O.omega_power(O.OMEGA):
+        return O.S4GRZ
+    n = 1
+    while O.omega_power(O.from_int(n)) < gamma:
+        n += 1
+    return O.s4grz_n(n)
 
 
 def naive_depths(frame):

@@ -2,13 +2,14 @@
 stability of the enumeration, and cost on twin-heavy frames."""
 
 import hashlib
+import itertools
 import json
 import random
 import time
 
 import pytest
 
-from conftest import naive_canonical_key
+from conftest import naive_canonical_key, reference_posets, reference_preorder_classes
 from roachkit import frames as F
 
 # SHA-256 of json.dumps([(f.size, f.up) for n in 1..6 for f in
@@ -111,3 +112,33 @@ def test_twin_symmetry_costs_nothing(frame):
     start = time.perf_counter()
     assert fresh_key(relabel(frame, perm)) == key
     assert time.perf_counter() - start < 1.0
+
+
+def test_orbit_enumeration_matches_dict_dedupe():
+    # the same representatives in the same order as trying every downset
+    # and every composition and deduping the candidates by key
+    for k in range(1, 8):
+        assert [(p.size, p.up) for p in F._posets(k)] == [(p.size, p.up) for p in reference_posets(k)]
+    for n in range(1, 8):
+        assert ([(f.size, f.up) for f in F._preorder_classes(n)]
+                == [(f.size, f.up) for f in reference_preorder_classes(n)])
+
+
+def brute_force_automorphisms(frame):
+    """Every permutation that maps related pairs to related pairs, in
+    lexicographic order: such a bijection maps the finite relation onto
+    itself, so it is an automorphism."""
+    pairs = frame.pairs()
+    return [g for g in itertools.permutations(range(frame.size))
+            if all(frame.le(g[u], g[w]) for u, w in pairs)]
+
+
+def test_automorphisms_match_brute_force():
+    rng = random.Random(13)
+    frames = [f for n in range(1, 6) for f in F.enumerate_frames(n)]
+    frames += rng.sample(list(F.enumerate_frames(6)), 40)
+    for f in frames:
+        perm = list(range(f.size))
+        rng.shuffle(perm)
+        for g in (f, relabel(f, perm)):
+            assert F.automorphisms(g) == brute_force_automorphisms(g)

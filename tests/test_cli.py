@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -214,6 +215,20 @@ def test_long_ordinal_naturals_exit_1_in_one_line():
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: natural number longer than")
         assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_huge_finite_exponent_classifies_at_once():
+    # the logic is read off the exponent, not found by counting up to it
+    src = os.path.dirname(os.path.dirname(roachkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    text = "w^" + "9" * 1000 + " + 1"
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "roachkit.cli", "ordinal-classify", text],
+                          capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[0] == "S4.Grz_1" + "0" * 1000
+    assert elapsed < 1.0
 
 
 def test_oversized_frame_exits_1(tmp_path, capsys):

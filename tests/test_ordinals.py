@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from conftest import reference_logic_of_ordinal_space
 from roachkit import formulas as fm
 from roachkit import ordinals as O
 from roachkit.errors import FormulaSyntaxError, PreconditionError
@@ -129,6 +131,15 @@ def test_tear_off_reconstruction_random():
         count += 1
         gp, a1 = O.tear_off(gamma)
         assert (gp + O.ONE) + O.omega_power(a1) == gamma
+
+
+def test_logic_of_ordinal_space_matches_the_stepping_loop():
+    # every normal form with exponents 0..6 and coefficients 1..3
+    for r in range(1, 8):
+        for exps in itertools.combinations(range(6, -1, -1), r):
+            for coeffs in itertools.product((1, 2, 3), repeat=r):
+                gamma = O.Ordinal(tuple((O.from_int(e), c) for e, c in zip(exps, coeffs)))
+                assert O.logic_of_ordinal_space(gamma) == reference_logic_of_ordinal_space(gamma)
 
 
 def test_logic_of_ordinal_space():
