@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 
@@ -448,17 +449,6 @@ def automorphisms(frame: Frame) -> list[tuple[int, ...]]:
     return found
 
 
-def _orbit_least(items, images):
-    """The items, met in increasing order, that are least in their orbit:
-    those no earlier item maps to.  ``images(item)`` lists the item's
-    images under every element of the group."""
-    seen = set()
-    for item in items:
-        if item not in seen:
-            seen.update(images(item))
-            yield item
-
-
 def are_isomorphic(f: Frame, g: Frame) -> bool:
     if f.size != g.size:
         return False
@@ -497,11 +487,12 @@ def _orbit_least_downsets(poset: Frame):
     if not group:
         return downsets
     bits = [[1 << v for v in g] for g in group]
-
-    def images(dmask):
+    kept = []
+    for dmask in downsets:
         members = worlds_of(dmask)
-        return [sum(map(b.__getitem__, members)) for b in bits]
-    return _orbit_least(downsets, images)
+        if all(sum(map(b.__getitem__, members)) >= dmask for b in bits):
+            kept.append(dmask)
+    return kept
 
 
 @lru_cache(maxsize=None)
@@ -523,12 +514,20 @@ def _posets(k: int) -> tuple[Frame, ...]:
 
 
 def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """The compositions of ``total`` into ``parts`` positive parts, in
+    lexicographic order: one per choice of ``parts - 1`` cut points."""
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        bounds = (0, *cuts, total)
+        yield tuple(map(operator.sub, bounds[1:], bounds))
+
+
+def _maps_below(sizes: tuple[int, ...], g: tuple[int, ...]) -> bool:
+    """Whether ``(sizes[g[0]], sizes[g[1]], ...)`` is lexicographically
+    below ``sizes``, compared in place without building it."""
+    for j, v in enumerate(g):
+        if sizes[v] != sizes[j]:
+            return sizes[v] < sizes[j]
+    return False
 
 
 def _orbit_least_compositions(poset: Frame, n: int):
@@ -540,9 +539,7 @@ def _orbit_least_compositions(poset: Frame, n: int):
     if poset.size in (1, n):  # a single composition
         return compositions
     group = automorphisms(poset)[1:]
-    if not group:
-        return compositions
-    return _orbit_least(compositions, lambda s: [tuple(map(s.__getitem__, g)) for g in group])
+    return [s for s in compositions if not any(_maps_below(s, g) for g in group)]
 
 
 def _expand(poset: Frame, sizes: tuple[int, ...]) -> Frame:
@@ -550,18 +547,14 @@ def _expand(poset: Frame, sizes: tuple[int, ...]) -> Frame:
     every size 1 this is ``poset`` itself, so values memoized on it serve."""
     if max(sizes) == 1:
         return poset
-    starts = []
+    blocks = []
     total = 0
     for s in sizes:
-        starts.append(total)
+        blocks.append(((1 << s) - 1) << total)
         total += s
     up = []
-    for i in range(poset.size):
-        mask = 0
-        for j in range(poset.size):
-            if poset.le(i, j):
-                mask |= ((1 << sizes[j]) - 1) << starts[j]
-        up.extend([mask] * sizes[i])
+    for mask, s in zip(poset.up, sizes):
+        up.extend([sum(map(blocks.__getitem__, worlds_of(mask)))] * s)
     return Frame(total, tuple(up))
 
 
