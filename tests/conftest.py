@@ -71,14 +71,45 @@ def reference_posets(k):
     return tuple(reps[key] for key in sorted(reps))
 
 
+def reference_compositions(total, parts):
+    """Compositions of ``total`` into ``parts`` positive parts, first part
+    first, by recursion."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in reference_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def reference_expand(poset, sizes):
+    """Each poset element blown up into a cluster of the given size, by
+    testing every pair of elements."""
+    if max(sizes) == 1:
+        return poset
+    starts = []
+    total = 0
+    for s in sizes:
+        starts.append(total)
+        total += s
+    up = []
+    for i in range(poset.size):
+        mask = 0
+        for j in range(poset.size):
+            if poset.le(i, j):
+                mask |= ((1 << sizes[j]) - 1) << starts[j]
+        up.extend([mask] * sizes[i])
+    return Frame(total, tuple(up))
+
+
 def reference_preorder_classes(n):
     """The preorder classes by expanding every poset class by every
     cluster-size composition and deduping all of them by canonical key."""
     reps = {}
     for k in range(1, n + 1):
         for poset in reference_posets(k):
-            for sizes in F._compositions(n, k):
-                frame = F._expand(poset, sizes)
+            for sizes in reference_compositions(n, k):
+                frame = reference_expand(poset, sizes)
                 reps.setdefault(canonical_key(frame), frame)
     return tuple(reps[key] for key in sorted(reps))
 
