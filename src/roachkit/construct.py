@@ -19,7 +19,7 @@ from .frames import (
     subframe,
     worlds_of,
 )
-from .morphisms import PMorphism, check_p_morphism, identity_morphism
+from .morphisms import PMorphism, identity_morphism, verified_morphism
 from . import roach as roach_mod
 
 DEFAULT_NODE_BUDGET = MAX_FRAME_WORLDS
@@ -32,26 +32,15 @@ class UnravelResult:
 
 
 def _cover_masks(skeleton: Frame) -> list[int]:
+    """Per skeleton point, the points it covers: its strict successors that
+    are no strict successor's strict successors."""
+    strict = [mask & ~(1 << c) for c, mask in enumerate(skeleton.up)]
     covers = []
-    for c in skeleton.worlds():
-        strict = skeleton.up[c] & ~(1 << c)
-        mask = 0
-        rest = strict
-        while rest:
-            d = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            between = skeleton.up[c] & ~(1 << c) & ~skeleton.up[d]
-            mediated = False
-            probe = between
-            while probe:
-                e = (probe & -probe).bit_length() - 1
-                probe &= probe - 1
-                if skeleton.le(e, d) and e != d:
-                    mediated = True
-                    break
-            if not mediated:
-                mask |= 1 << d
-        covers.append(mask)
+    for mask in strict:
+        mediated = 0
+        for e in worlds_of(mask):
+            mediated |= strict[e]
+        covers.append(mask & ~mediated)
     return covers
 
 
@@ -92,11 +81,7 @@ def unravel_to_quasi_tree(frame: Frame, node_budget: int = DEFAULT_NODE_BUDGET) 
             if len(q) >= len(p) and q[: len(p)] == p:
                 up[i] |= 1 << j
     tree = Frame(n, tuple(up))
-    mapping = tuple(w for _, w in worlds)
-    pm = PMorphism(tree, frame, mapping)
-    violation = check_p_morphism(pm, require_onto=True)
-    if violation is not None:
-        raise AssertionError(f"unraveling produced a bad morphism: {violation}")
+    pm = verified_morphism(tree, frame, (w for _, w in worlds))
     if not classify_frame(tree).quasi_tree:
         raise AssertionError("unraveling did not produce a quasi-tree")
     return UnravelResult(tree, pm)
@@ -147,10 +132,7 @@ def roach_to_willow(frame: Frame, node_budget: int = DEFAULT_NODE_BUDGET) -> Unr
         up.append(mask)
     willow = Frame(n, tuple(up))
     mapping = tuple(body_embedding[t_map[x]] for x in range(t.size)) + tuple(antennae)
-    pm = PMorphism(willow, frame, mapping)
-    violation = check_p_morphism(pm, require_onto=True)
-    if violation is not None:
-        raise AssertionError(f"willow construction produced a bad morphism: {violation}")
+    pm = verified_morphism(willow, frame, mapping)
     if roach_mod.is_willow_tree(willow) is None:
         raise AssertionError("willow construction did not produce a willow tree")
     return UnravelResult(willow, pm)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import formulas as fm
 from . import roach
 from .errors import CeilingExceededError
-from .frames import Frame, enumerate_frames
+from .frames import enumerate_frames
 from .semantics import DEFAULT_BUDGET, Model, find_refutation
 
 DECISION_CEILING = 6

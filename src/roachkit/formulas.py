@@ -118,33 +118,27 @@ def modal_depth(phi: Formula) -> int:
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def conj(parts) -> Formula:
-    """Balanced conjunction of a sequence (TOP when empty)."""
+def _balanced(op, parts, empty: Formula) -> Formula:
+    """Pair neighbours level by level; an odd last part moves up unpaired."""
     parts = list(parts)
     if not parts:
-        return TOP
+        return empty
     while len(parts) > 1:
-        merged = []
-        for i in range(0, len(parts) - 1, 2):
-            merged.append(And(parts[i], parts[i + 1]))
+        merged = [op(parts[i], parts[i + 1]) for i in range(0, len(parts) - 1, 2)]
         if len(parts) % 2:
             merged.append(parts[-1])
         parts = merged
     return parts[0]
+
+
+def conj(parts) -> Formula:
+    """Balanced conjunction of a sequence (TOP when empty)."""
+    return _balanced(And, parts, TOP)
 
 
 def disj(parts) -> Formula:
-    parts = list(parts)
-    if not parts:
-        return BOT
-    while len(parts) > 1:
-        merged = []
-        for i in range(0, len(parts) - 1, 2):
-            merged.append(Or(parts[i], parts[i + 1]))
-        if len(parts) % 2:
-            merged.append(parts[-1])
-        parts = merged
-    return parts[0]
+    """Balanced disjunction of a sequence (BOT when empty)."""
+    return _balanced(Or, parts, BOT)
 
 
 def eliminate_diamonds(phi: Formula) -> Formula:

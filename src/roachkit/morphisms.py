@@ -67,6 +67,18 @@ def check_p_morphism(pm: PMorphism, require_onto: bool = False) -> Violation | N
     return None
 
 
+def verified_morphism(source: Frame, target: Frame, mapping) -> PMorphism:
+    """The onto p-morphism given by ``mapping``, checked.  The constructions
+    that call this build maps that are onto p-morphisms by proof, so a
+    failure is a bug in the construction, not an input error, and raises
+    AssertionError."""
+    pm = PMorphism(source, target, tuple(mapping))
+    violation = check_p_morphism(pm, require_onto=True)
+    if violation is not None:
+        raise AssertionError(f"constructed map failed verification: {violation}")
+    return pm
+
+
 def compose(first: PMorphism, second: PMorphism) -> PMorphism:
     if first.target.size != second.source.size:
         raise PreconditionError("composition needs matching frames")
@@ -259,4 +271,4 @@ def collapse(frame: Frame, blocks) -> tuple[Frame, PMorphism]:
 def skeleton_morphism(frame: Frame) -> PMorphism:
     """The cluster-collapse map onto the skeleton, as a verified morphism."""
     _, skel, pi = clusters_and_skeleton(frame)
-    return PMorphism(frame, skel, pi)
+    return verified_morphism(frame, skel, pi)

@@ -3,9 +3,11 @@ the constructive minimal-forbidden-configuration extractor.
 
 An n-roach is a finite rooted frame (every world below some maximal point)
 with a splitting point s of depth at most n whose upset is partially ordered
-and meets every upset in a principal one.  2-roaches admit the recursive
-characterization used by ``is_2_roach``: some s has exactly the maxima above
-it and every world outside its downset sees a unique maximal point.
+and meets every upset in a principal one.  ``is_2_roach`` is
+``splitting_certificate`` at bound 2, which amounts to the recursive
+characterization: since the upset of s meets the upset of every maximum, s
+has exactly the maxima above it, and every world outside its downset sees a
+unique maximal point.
 """
 
 from __future__ import annotations
@@ -28,13 +30,7 @@ from .frames import (
     subframe,
     worlds_of,
 )
-from .morphisms import (
-    PMorphism,
-    check_p_morphism,
-    collapse,
-    find_onto_p_morphism,
-    skeleton_morphism,
-)
+from .morphisms import PMorphism, collapse, skeleton_morphism, verified_morphism
 
 FORBIDDEN_NAMES = ("F1", "F2", "F3")
 
@@ -167,34 +163,16 @@ def verify_splitting(frame: Frame, cert: SplittingCertificate) -> bool:
 
 
 def is_2_roach(frame: Frame) -> SplittingCertificate | None:
-    """Decide 2-roachness by the recursive characterization: some s has
-    upset {s} + maxima and every world outside its downset sees exactly one
-    maximal point."""
-    _require_frame(frame)
-    flags = classify_frame(frame)
-    max_mask = mask_of(flags.max_points)
-    down_of = downset_mask
-    for s in frame.worlds():
-        if frame.up[s] != (1 << s) | max_mask:
-            continue
-        below_s = down_of(frame, 1 << s)
-        ok = True
-        for w in frame.worlds():
-            if (below_s >> w) & 1:
-                continue
-            if (frame.up[w] & max_mask).bit_count() != 1:
-                ok = False
-                break
-        if not ok:
-            continue
-        t = []
-        for w in frame.worlds():
-            if (below_s >> w) & 1:
-                t.append(s)
-            else:
-                t.append((frame.up[w] & max_mask).bit_length() - 1)
-        return SplittingCertificate(s, 2, tuple(t))
-    return None
+    """Decide 2-roachness: the certificate ``splitting_certificate`` finds
+    at bound 2.
+
+    This is the recursive characterization.  A splitting point's upset
+    meets the upset of every maximum in a principal, hence nonempty, upset,
+    so it holds every maximum; being partially ordered and of depth at most
+    2, it is {s} + maxima.  Outside the downset of s each meet is then a set
+    of maxima, principal exactly when it is a single maximum.
+    """
+    return splitting_certificate(frame, 2)
 
 
 def two_roach_classes(n: int) -> tuple[Frame, ...]:
@@ -295,8 +273,6 @@ def is_willow_tree(frame: Frame) -> WillowEvidence | None:
     """A 2-roach is a willow tree when, for some splitting point, the
     subframe outside its upset is a quasi-tree (or empty)."""
     _require_frame(frame)
-    if is_2_roach(frame) is None:
-        return None
     for s, t in splitting_points(frame, 2):
         body_mask = ((1 << frame.size) - 1) & ~frame.up[s]
         if body_mask == 0:
@@ -323,12 +299,7 @@ def _pullback_witness(frame: Frame, chain: list[PMorphism], final_world_map, whi
     candidates = [w for w in frame.worlds() if total(w) == generator_pre]
     g = min(candidates)
     sub, embedding = generated_subframe(frame, g)
-    target = builtin(which)
-    mapping = tuple(final_world_map[total(embedding[i])] for i in range(sub.size))
-    pm = PMorphism(sub, target, mapping)
-    violation = check_p_morphism(pm, require_onto=True)
-    if violation is not None:  # construction bug, not an input error
-        raise AssertionError(f"extracted witness failed verification: {violation}")
+    pm = verified_morphism(sub, builtin(which), (final_world_map[total(v)] for v in embedding))
     return ForbiddenWitness(which, g, embedding, pm)
 
 
@@ -340,7 +311,6 @@ def _crisscross_same_cluster(frame: Frame, a: int) -> ForbiddenWitness:
     m_a = frame.up[a] & max_mask
     m = (m_a & -m_a).bit_length() - 1
     sub, embedding = generated_subframe(frame, a)
-    target = builtin("F2")
     mapping = []
     for i, old in enumerate(embedding):
         if old == a:
@@ -351,11 +321,7 @@ def _crisscross_same_cluster(frame: Frame, a: int) -> ForbiddenWitness:
             mapping.append(2)
         else:
             mapping.append(3)
-    pm = PMorphism(sub, target, tuple(mapping))
-    violation = check_p_morphism(pm, require_onto=True)
-    if violation is not None:
-        raise AssertionError(f"extracted witness failed verification: {violation}")
-    return ForbiddenWitness("F2", a, embedding, pm)
+    return ForbiddenWitness("F2", a, embedding, verified_morphism(sub, builtin("F2"), mapping))
 
 
 def _quasi_maximal_in(frame: Frame, region_mask: int) -> int:
@@ -365,12 +331,6 @@ def _quasi_maximal_in(frame: Frame, region_mask: int) -> int:
         if frame.up[q] & region_mask & ~cmasks[q] == 0:
             return q
     raise AssertionError("nonempty region of a finite frame has a quasi-maximal point")
-
-
-def _two_maxima_collapse(frame: Frame, group1: int, group2: int) -> tuple[Frame, PMorphism]:
-    """Collapse a two-block partition of the maxima, leaving all else alone."""
-    blocks = [worlds_of(group1), worlds_of(group2)]
-    return collapse(frame, [b for b in blocks if len(b) > 0])
 
 
 def _crisscross_distinct_clusters(frame: Frame, a: int, b: int) -> ForbiddenWitness:
@@ -391,7 +351,7 @@ def _crisscross_distinct_clusters(frame: Frame, a: int, b: int) -> ForbiddenWitn
     current = frame
     ca, cb = a, b
 
-    step1, pm1 = _two_maxima_collapse(current, group1, group2)
+    step1, pm1 = collapse(current, [worlds_of(g) for g in (group1, group2) if g])
     chain.append(pm1)
     ca, cb = pm1.mapping[ca], pm1.mapping[cb]
     current = step1
@@ -408,9 +368,6 @@ def _crisscross_distinct_clusters(frame: Frame, a: int, b: int) -> ForbiddenWitn
     current = step2
 
     pm3 = skeleton_morphism(current)
-    violation = check_p_morphism(pm3, require_onto=True)
-    if violation is not None:
-        raise AssertionError(f"skeleton map failed verification: {violation}")
     chain.append(pm3)
     ca, cb = pm3.mapping[ca], pm3.mapping[cb]
     current = pm3.target
@@ -469,11 +426,7 @@ def _tall_two_fork_map(frame: Frame, q: int) -> dict[int, int]:
 def _tall_two_fork_direct(frame: Frame, w: int) -> ForbiddenWitness:
     sub, embedding = generated_subframe(frame, w)
     final = _tall_two_fork_map(sub, embedding.index(w))
-    target = builtin("F1")
-    pm = PMorphism(sub, target, tuple(final[i] for i in range(sub.size)))
-    violation = check_p_morphism(pm, require_onto=True)
-    if violation is not None:
-        raise AssertionError(f"extracted witness failed verification: {violation}")
+    pm = verified_morphism(sub, builtin("F1"), (final[i] for i in range(sub.size)))
     return ForbiddenWitness("F1", w, embedding, pm)
 
 
@@ -519,7 +472,7 @@ def minimal_forbidden_witness(frame: Frame) -> ForbiddenWitness:
     else:
         group1 = max_mask & -max_mask
     group2 = max_mask & ~group1
-    collapsed, pm1 = _two_maxima_collapse(frame, group1, group2)
+    collapsed, pm1 = collapse(frame, [worlds_of(g) for g in (group1, group2) if g])
     maxima = mask_of(classify_frame(collapsed).max_points)
     mu1 = maxima & -maxima
     mu2 = maxima & ~mu1

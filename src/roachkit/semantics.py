@@ -37,10 +37,15 @@ class Model:
     valuation: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        full = (1 << self.frame.size) - 1
+        # checked before any bit shift: a negative world would raise
+        # ValueError, a huge one exhaust memory, and True would read as 1
+        size = self.frame.size
         for name, worlds in self.valuation.items():
-            if mask_of(worlds) & ~full:
-                raise FrameFormatError(f"valuation of {name!r} mentions out-of-range worlds")
+            for w in worlds:
+                if type(w) is not int or not 0 <= w < size:
+                    raise FrameFormatError(
+                        f"valuation of {name!r} mentions {w!r}, not a world of 0..{size - 1}"
+                    )
 
 
 def extension_mask(model: Model, phi: fm.Formula) -> int:

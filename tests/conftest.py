@@ -11,8 +11,9 @@ from roachkit import decision as D
 from roachkit import formulas as fm
 from roachkit import frames as F
 from roachkit import ordinals as O
+from roachkit import roach as R
 from roachkit import semantics as S
-from roachkit.frames import Frame, canonical_key, worlds_of
+from roachkit.frames import Frame, canonical_key, classify_frame, downset_mask, mask_of, worlds_of
 
 
 def naive_preorder_classes(n):
@@ -254,6 +255,61 @@ def naive_frame_validates(frame, phi):
         if S.extension_mask(S.Model(frame, valuation), phi) != full:
             return False
     return True
+
+
+def reference_is_2_roach(frame):
+    """Decide 2-roachness by the recursive characterization: some s has
+    upset {s} + maxima and every world outside its downset sees exactly one
+    maximal point."""
+    R._require_frame(frame)
+    flags = classify_frame(frame)
+    max_mask = mask_of(flags.max_points)
+    down_of = downset_mask
+    for s in frame.worlds():
+        if frame.up[s] != (1 << s) | max_mask:
+            continue
+        below_s = down_of(frame, 1 << s)
+        ok = True
+        for w in frame.worlds():
+            if (below_s >> w) & 1:
+                continue
+            if (frame.up[w] & max_mask).bit_count() != 1:
+                ok = False
+                break
+        if not ok:
+            continue
+        t = []
+        for w in frame.worlds():
+            if (below_s >> w) & 1:
+                t.append(s)
+            else:
+                t.append((frame.up[w] & max_mask).bit_length() - 1)
+        return R.SplittingCertificate(s, 2, tuple(t))
+    return None
+
+
+def reference_is_willow_tree(frame):
+    """``is_willow_tree`` gated on ``reference_is_2_roach`` before it walks
+    the splitting points."""
+    R._require_frame(frame)
+    if reference_is_2_roach(frame) is None:
+        return None
+    for s, t in R.splitting_points(frame, 2):
+        body_mask = ((1 << frame.size) - 1) & ~frame.up[s]
+        if body_mask == 0:
+            return R.WillowEvidence(R.SplittingCertificate(s, 2, t), ())
+        body, _ = F.subframe(frame, worlds_of(body_mask))
+        if classify_frame(body).quasi_tree:
+            return R.WillowEvidence(R.SplittingCertificate(s, 2, t), worlds_of(body_mask))
+    return None
+
+
+def relabel(frame, perm):
+    """The frame with world w renamed perm[w]."""
+    up = [0] * frame.size
+    for u, w in frame.pairs():
+        up[perm[u]] |= 1 << perm[w]
+    return Frame(frame.size, tuple(up))
 
 
 def reference_decide_lr2(phi, bound):

@@ -9,20 +9,13 @@ import time
 
 import pytest
 
-from conftest import naive_canonical_key, reference_posets, reference_preorder_classes
+from conftest import naive_canonical_key, reference_posets, reference_preorder_classes, relabel
 from roachkit import frames as F
 
 # SHA-256 of json.dumps([(f.size, f.up) for n in 1..6 for f in
 # enumerate_frames(n)]): every class representative and its position.
 # decide_lr2 tries frames in this order, so a change here changes verdicts.
 ENUMERATION_SHA256 = "3b5e37f8d54ecf2157eb6d798a03b12c4d32211571b4febc1247c5b5f9bf9558"
-
-
-def relabel(frame, perm):
-    up = [0] * frame.size
-    for u, w in frame.pairs():
-        up[perm[u]] |= 1 << perm[w]
-    return F.Frame(frame.size, tuple(up))
 
 
 def fresh_key(frame):

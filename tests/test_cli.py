@@ -161,6 +161,10 @@ def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "eval", "builtin:F1", "--formula", "p",
                            "--valuation", "{nope")
     assert code == 1
+    for worlds in ("[-1]", "[99999999999]", "[true]"):
+        code, out, err = run_cli(capsys, "eval", "builtin:F1", "--formula", "p",
+                                 "--valuation", '{"p": %s}' % worlds)
+        assert code == 1 and out == "" and len(err.strip().splitlines()) == 1, (worlds, err)
 
 
 def test_unreadable_frame_path_exits_1(tmp_path, capsys):

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from conftest import reference_is_2_roach, reference_is_willow_tree, relabel
 from roachkit import frames as F
 from roachkit import morphisms as M
 from roachkit import roach as R
@@ -86,6 +89,23 @@ def test_is_2_roach_agrees_with_certificate_search():
     for n in range(1, 6):
         for f in F.enumerate_frames(n, "s41-rooted"):
             assert (R.is_2_roach(f) is None) == (R.splitting_certificate(f, 2) is None)
+
+
+def test_is_2_roach_matches_the_characterization_through_seven_worlds():
+    # the bound-2 certificate search gives the recursive characterization's
+    # certificate, and is_willow_tree needs no 2-roach gate, on every class
+    # and on shuffled relabelings, where the index order of candidates moves
+    classes = [f for n in range(1, 8) for f in F.enumerate_frames(n, "s41-rooted", ceiling=7)]
+    assert len(classes) == 811
+    rng = random.Random(2308)
+    relabeled = []
+    for f in rng.choices(classes, k=320):
+        perm = list(range(f.size))
+        rng.shuffle(perm)
+        relabeled.append(relabel(f, perm))
+    for f in classes + relabeled:
+        assert R.is_2_roach(f) == reference_is_2_roach(f), f
+        assert R.is_willow_tree(f) == reference_is_willow_tree(f), f
 
 
 def test_roach_hierarchy_is_monotone():

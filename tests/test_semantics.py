@@ -37,8 +37,10 @@ def test_extension_missing_variables_read_empty():
 
 
 def test_model_rejects_out_of_range_valuation():
-    with pytest.raises(FrameFormatError):
-        S.Model(builtin("point"), {"p": {3}})
+    # negative and huge worlds must not reach a bit shift; True is no world
+    for worlds in ({3}, {-1}, {99999999999}, {True}):
+        with pytest.raises(FrameFormatError):
+            S.Model(builtin("point"), {"p": worlds})
 
 
 def test_box_extension_is_upset_diamond_is_downset():
