@@ -166,11 +166,14 @@ def is_2_roach(frame: Frame) -> SplittingCertificate | None:
     """Decide 2-roachness: the certificate ``splitting_certificate`` finds
     at bound 2.
 
-    This is the recursive characterization.  A splitting point's upset
-    meets the upset of every maximum in a principal, hence nonempty, upset,
-    so it holds every maximum; being partially ordered and of depth at most
-    2, it is {s} + maxima.  Outside the downset of s each meet is then a set
-    of maxima, principal exactly when it is a single maximum.
+    This is the recursive characterization's certificate.  A splitting
+    point's upset meets the upset of every maximum in a principal, hence
+    nonempty, upset, so it holds every maximum; being partially ordered and
+    of depth at most 2, it is {s} + maxima.  Outside the downset of s each
+    meet is then a set of maxima, principal exactly when it is a single
+    maximum.  So s is the first world with upset {s} + maxima below which
+    every other world sees one maximum, and t sends the downset of s to s
+    and every other world to its maximum.
     """
     return splitting_certificate(frame, 2)
 
