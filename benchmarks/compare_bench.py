@@ -6,15 +6,18 @@
 
 A BENCH file is a JSON list with one entry per perfbench run: the run's
 metadata line and result line merged, ``{"meta": ..., "correct": ...,
-"metrics": ...}``.  ``--record`` makes one 35 s run of every workload for seeds
-1 and 7919, at ``--trace 0`` and ``--trace 1``, from the source checkout
-``--root`` (default: this one).  Comparing refuses two files whose runs differ
-in length or core count; otherwise it prints, for each workload, seed and
-metric, the median over the file's runs on each side and the ratio
+"metrics": ...}``.  ``--record`` makes three 35 s runs of every workload for
+seeds 1 and 7919, at ``--trace 0`` and ``--trace 1``, from the source checkout
+``--root`` (default: this one).  The runs go round by round, every cell once
+per round, so load on the host between rounds falls on all cells alike and a
+cell's median is not a single run.  Comparing refuses two files whose runs
+differ in length or core count; otherwise it prints, for each workload, seed
+and metric, the median over the file's runs on each side and the ratio
 change/parent.
 """
 
 import argparse
+import itertools
 import json
 import os
 import statistics
@@ -22,18 +25,17 @@ import subprocess
 import sys
 
 WORKLOADS, SEEDS, TRACES, SECONDS = ("decide", "census", "cli"), (1, 7919), (0, 1), 35
+ROUNDS = 3
 
 
 def record(out, root):
     runs = []
-    for workload in WORKLOADS:
-        for seed in SEEDS:
-            for trace in TRACES:
-                cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-                       str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
-                lines = subprocess.run(cmd, cwd=root, check=True, capture_output=True,
-                                       text=True).stdout.strip().splitlines()
-                runs.append({**json.loads(lines[-2]), **json.loads(lines[-1])})
+    for _, workload, seed, trace in itertools.product(range(ROUNDS), WORKLOADS, SEEDS, TRACES):
+        cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+               str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
+        lines = subprocess.run(cmd, cwd=root, check=True, capture_output=True,
+                               text=True).stdout.strip().splitlines()
+        runs.append({**json.loads(lines[-2]), **json.loads(lines[-1])})
     with open(out, "w") as handle:
         json.dump(runs, handle, indent=1)
         handle.write("\n")

@@ -25,9 +25,8 @@ class Program:
         return len(self.variables)
 
 
-def compile_formula(phi: fm.Formula, variables: tuple[str, ...] | None = None) -> Program:
-    if variables is None:
-        variables = fm.variables(phi)
+def compile_formula(phi: fm.Formula) -> Program:
+    variables = fm.variables(phi)
     var_index = {name: i for i, name in enumerate(variables)}
     ops: list[tuple[int, int, int]] = []
     memo: dict[fm.Formula, int] = {}
@@ -70,4 +69,4 @@ def compile_formula(phi: fm.Formula, variables: tuple[str, ...] | None = None) -
             last_use[a] = pc
             last_use[b] = pc
     last_use[len(ops) - 1] = len(ops)  # result outlives the program
-    return Program(tuple(ops), tuple(variables), tuple(last_use))
+    return Program(tuple(ops), variables, tuple(last_use))

@@ -37,13 +37,9 @@ def resolve_frame(arg: str, strict: bool = False) -> F.Frame:
     if _BARE_BUILTIN_RE.match(arg) and not os.path.exists(arg):
         return _builtin_frame(arg)
     if arg == "-":
-        return F.frame_from_json(sys.stdin.read())
+        return F.frame_from_json(sys.stdin.read(), strict)
     with open(arg, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    frame = F.frame_from_json(text)
-    if strict:
-        frame = F.normalize_frame(frame.pairs(), frame.size, labels=frame.labels, strict=True)
-    return frame
+        return F.frame_from_json(handle.read(), strict)
 
 
 def cmd_check(args) -> int:

@@ -15,7 +15,7 @@ from . import formulas as fm
 from . import roach
 from .errors import CeilingExceededError
 from .frames import enumerate_frames
-from .semantics import DEFAULT_BUDGET, Model, find_refutation
+from .semantics import Model, find_refutation
 
 DECISION_CEILING = 6
 
@@ -41,18 +41,17 @@ def lr2_axioms() -> list[fm.Formula]:
     ]
 
 
-def decide_lr2(phi: fm.Formula, bound: int, budget: int = DEFAULT_BUDGET,
-               ceiling: int = DECISION_CEILING) -> Verdict:
+def decide_lr2(phi: fm.Formula, bound: int) -> Verdict:
     """Search 2-roaches of up to ``bound`` worlds for a countermodel.
 
     A ``Refuted`` verdict is sound unconditionally.  ``NoCountermodelUpTo``
     only reports a clean bounded search; it is not a theoremhood claim.
     """
-    if bound < 1 or bound > ceiling:
-        raise CeilingExceededError(f"bound must lie in 1..{ceiling}")
+    if bound < 1 or bound > DECISION_CEILING:
+        raise CeilingExceededError(f"bound must lie in 1..{DECISION_CEILING}")
     for size in range(1, bound + 1):
-        for frame in enumerate_frames(size, "2-roach", ceiling=ceiling):
-            refutation = find_refutation(frame, phi, budget=budget)
+        for frame in enumerate_frames(size, "2-roach", ceiling=DECISION_CEILING):
+            refutation = find_refutation(frame, phi)
             if refutation is not None:
                 valuation, world = refutation
                 return Refuted(Model(frame, valuation), world)

@@ -646,7 +646,10 @@ def frame_to_json(frame: Frame) -> str:
     return json.dumps(frame_to_dict(frame))
 
 
-def frame_from_json(text: str) -> Frame:
+def frame_from_json(text: str, strict: bool = False) -> Frame:
+    """The frame of a frame-JSON object.  The relation must already be
+    closed when ``strict`` is set or the object's ``"strict"`` field is
+    true; otherwise ``le`` lists generator edges."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -670,4 +673,4 @@ def frame_from_json(text: str) -> Frame:
     if labels is not None and (not isinstance(labels, list) or len(labels) != size
                                or not all(isinstance(x, str) for x in labels)):
         raise FrameFormatError(f'"labels" must be a list of {size} strings')
-    return normalize_frame(pairs, size, labels=labels, strict=bool(data.get("strict")))
+    return normalize_frame(pairs, size, labels=labels, strict=strict or bool(data.get("strict")))

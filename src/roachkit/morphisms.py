@@ -18,6 +18,9 @@ from .frames import (
     worlds_of,
 )
 
+# the onto-p-morphism search refuses larger source and target frames
+SEARCH_CEILING = 10
+
 
 @dataclass(frozen=True)
 class PMorphism:
@@ -98,7 +101,7 @@ def _cluster_counts(up: tuple[int, ...], cluster: list[int]) -> list[int]:
     return [(mask & leaders).bit_count() for mask in up]
 
 
-def find_onto_p_morphism(source: Frame, target: Frame, ceiling: int = 10) -> PMorphism | None:
+def find_onto_p_morphism(source: Frame, target: Frame) -> PMorphism | None:
     """Exhaustive backtracking search for an onto p-morphism.
 
     Source worlds are assigned in index order with target values tried
@@ -110,8 +113,9 @@ def find_onto_p_morphism(source: Frame, target: Frame, ceiling: int = 10) -> PMo
     count, and a world seeing everything to a world seeing everything;
     values failing these are never tried.
     """
-    if source.size > ceiling or target.size > ceiling:
-        raise PreconditionError(f"frames above {ceiling} worlds are not searched")
+    if source.size > SEARCH_CEILING or target.size > SEARCH_CEILING:
+        raise PreconditionError(
+            f"frames above SEARCH_CEILING = {SEARCH_CEILING} worlds are not searched")
     n, m = source.size, target.size
     if n < m:
         return None
@@ -186,7 +190,7 @@ class Permissibility:
     morphism: PMorphism
 
 
-def is_permissible(config: Frame, host: Frame, ceiling: int = 10) -> Permissibility | None:
+def is_permissible(config: Frame, host: Frame) -> Permissibility | None:
     """First (smallest-subframe, least-generator) witness that ``config`` is
     an onto p-morphic image of a point-generated subframe of ``host``."""
     if not classify_frame(config).rooted:
@@ -196,7 +200,7 @@ def is_permissible(config: Frame, host: Frame, ceiling: int = 10) -> Permissibil
         if host.up[g].bit_count() < config.size:
             continue
         sub, embedding = generated_subframe(host, g)
-        pm = find_onto_p_morphism(sub, config, ceiling=ceiling)
+        pm = find_onto_p_morphism(sub, config)
         if pm is not None:
             return Permissibility(g, embedding, pm)
     return None

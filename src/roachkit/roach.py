@@ -8,6 +8,11 @@ and meets every upset in a principal one.  ``is_2_roach`` is
 characterization: since the upset of s meets the upset of every maximum, s
 has exactly the maxima above it, and every world outside its downset sees a
 unique maximal point.
+
+``minimal_forbidden_witness`` writes its maps onto F1, F2 and F3 directly on
+a point-generated subframe, each checked once.  The proof builds them through
+quotients (collapsed groups of maxima, one-sided upsets, clusters); the maps
+are the same, because each quotient orders its blocks by least member.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .frames import (
     subframe,
     worlds_of,
 )
-from .morphisms import PMorphism, collapse, skeleton_morphism, verified_morphism
+from .morphisms import PMorphism, verified_morphism
 
 FORBIDDEN_NAMES = ("F1", "F2", "F3")
 
@@ -290,41 +295,16 @@ def is_willow_tree(frame: Frame) -> WillowEvidence | None:
 # constructive extraction of a minimal forbidden configuration
 
 
-def _pullback_witness(frame: Frame, chain: list[PMorphism], final_world_map, which: str,
-                      generator_pre: int) -> ForbiddenWitness:
-    """Compose collapse morphisms with a final partial map and restrict to
-    the generated subframe at the least preimage of ``generator_pre``."""
-    def total(w: int) -> int:
-        for pm in chain:
-            w = pm.mapping[w]
-        return w
-
-    candidates = [w for w in frame.worlds() if total(w) == generator_pre]
-    g = min(candidates)
+def _witness(frame: Frame, which: str, g: int, cases) -> ForbiddenWitness:
+    """The verified map from the subframe generated at g onto the forbidden
+    frame ``which``, sending each world to the target world labelled by the
+    first ``(mask, label)`` case whose mask holds it; the mask -1 holds
+    every world."""
+    target = builtin(which)
     sub, embedding = generated_subframe(frame, g)
-    pm = verified_morphism(sub, builtin(which), (final_world_map[total(v)] for v in embedding))
-    return ForbiddenWitness(which, g, embedding, pm)
-
-
-def _crisscross_same_cluster(frame: Frame, a: int) -> ForbiddenWitness:
-    """a and a cluster-mate both have depth 2 and see two or more maxima;
-    the upset of a maps onto F2 directly."""
-    cmask = cluster_masks(frame)[a]
-    max_mask = mask_of(classify_frame(frame).max_points)
-    m_a = frame.up[a] & max_mask
-    m = (m_a & -m_a).bit_length() - 1
-    sub, embedding = generated_subframe(frame, a)
-    mapping = []
-    for i, old in enumerate(embedding):
-        if old == a:
-            mapping.append(0)
-        elif (cmask >> old) & 1:
-            mapping.append(1)
-        elif old == m:
-            mapping.append(2)
-        else:
-            mapping.append(3)
-    return ForbiddenWitness("F2", a, embedding, verified_morphism(sub, builtin("F2"), mapping))
+    mapping = [target.labels.index(next(label for mask, label in cases if mask >> x & 1))
+               for x in embedding]
+    return ForbiddenWitness(which, g, embedding, verified_morphism(sub, target, mapping))
 
 
 def _quasi_maximal_in(frame: Frame, region_mask: int) -> int:
@@ -336,117 +316,73 @@ def _quasi_maximal_in(frame: Frame, region_mask: int) -> int:
     raise AssertionError("nonempty region of a finite frame has a quasi-maximal point")
 
 
-def _crisscross_distinct_clusters(frame: Frame, a: int, b: int) -> ForbiddenWitness:
-    max_mask = mask_of(classify_frame(frame).max_points)
-    m_a = frame.up[a] & max_mask
-    m_b = frame.up[b] & max_mask
-    common = m_a & m_b
-    if common == 0:
-        n1 = (m_a & -m_a).bit_length() - 1
-        nn1 = (m_b & -m_b).bit_length() - 1
-        group1 = (1 << n1) | (1 << nn1)
-    elif common.bit_count() == 1:
-        group1 = common
-    else:
+def _crisscross(frame: Frame, a: int, b: int, max_mask: int) -> ForbiddenWitness:
+    """a and b have depth 2 in distinct clusters and both see two or more
+    maxima: a map onto F3.
+
+    The maxima split into two groups that a and b both see.  The worlds that
+    see one group only go to m1 or m2, the side with the smaller least world
+    to m1.  ``tops`` are the maximal clusters of the worlds seeing both
+    groups, other than a's, and q is quasi-maximal below a and a top: q's
+    cluster goes to r, the rest of the downset of a to v1, the rest to v2.
+    """
+    common = frame.up[a] & frame.up[b] & max_mask
+    if common:
         group1 = common & -common
-    group2 = max_mask & ~group1
-    chain = []
-    current = frame
-    ca, cb = a, b
-
-    step1, pm1 = collapse(current, [worlds_of(g) for g in (group1, group2) if g])
-    chain.append(pm1)
-    ca, cb = pm1.mapping[ca], pm1.mapping[cb]
-    current = step1
-
-    maxima = mask_of(classify_frame(current).max_points)
-    mu1 = maxima & -maxima
-    mu2 = maxima & ~mu1
-    full = (1 << current.size) - 1
-    blocks = [worlds_of(full & ~downset_mask(current, mu1)),
-              worlds_of(full & ~downset_mask(current, mu2))]
-    step2, pm2 = collapse(current, blocks)
-    chain.append(pm2)
-    ca, cb = pm2.mapping[ca], pm2.mapping[cb]
-    current = step2
-
-    pm3 = skeleton_morphism(current)
-    chain.append(pm3)
-    ca, cb = pm3.mapping[ca], pm3.mapping[cb]
-    current = pm3.target
-
-    depths = depth_vector(current)
-    others = [w for w in current.worlds() if depths[w] == 2 and w != ca]
-    if len(others) > 1:
-        step4, pm4 = collapse(current, [others])
-        chain.append(pm4)
-        ca, cb = pm4.mapping[ca], pm4.mapping[cb]
-        current = step4
-
-    region = downset_mask(current, 1 << ca) & downset_mask(current, 1 << cb)
-    q = _quasi_maximal_in(current, region)
-    cq = cluster_masks(current)[q]
-    maxima = mask_of(classify_frame(current).max_points)
-    n1 = maxima & -maxima
-    final = {}
-    for x in current.worlds():
-        if (n1 >> x) & 1:
-            final[x] = 3  # m1
-        elif (maxima >> x) & 1:
-            final[x] = 4  # m2
-        elif (cq >> x) & 1:
-            final[x] = 0  # r
-        elif (downset_mask(current, 1 << ca) >> x) & 1 and (current.up[q] >> x) & 1:
-            final[x] = 1  # v1
-        else:
-            final[x] = 2  # v2
-    return _pullback_witness(frame, chain, final, "F3", q)
+    else:
+        m_a, m_b = frame.up[a] & max_mask, frame.up[b] & max_mask
+        group1 = (m_a & -m_a) | (m_b & -m_b)
+    sees1 = downset_mask(frame, group1)
+    sees2 = downset_mask(frame, max_mask & ~group1)
+    both = sees1 & sees2
+    cmasks = cluster_masks(frame)
+    tops = mask_of(w for w in worlds_of(both & ~cmasks[a]) if not frame.up[w] & both & ~cmasks[w])
+    below_a = downset_mask(frame, 1 << a)
+    q = _quasi_maximal_in(frame, below_a & downset_mask(frame, tops))
+    side1, side2 = sorted((sees1 & ~sees2, sees2 & ~sees1), key=lambda side: side & -side)
+    cases = [(side1, "m1"), (side2, "m2"), (cmasks[q], "r"), (below_a, "v1"), (-1, "v2")]
+    return _witness(frame, "F3", q, cases)
 
 
-def _tall_two_fork_map(frame: Frame, q: int) -> dict[int, int]:
-    """The four-case map onto F1 from a rooted frame whose root cluster is
-    the only place seeing several maxima and whose depth is at least 3."""
+def _tall_two_fork(frame: Frame, groups: list[int], region: int,
+                   max_mask: int) -> ForbiddenWitness:
+    """A map onto F1 from the quasi-maximal world q of ``region``, whose
+    worlds see two of the groups of maxima.
+
+    The least world y strictly above q's cluster that is not a maximum sees
+    one group only: its maxima go to m1, the other worlds that see it to v,
+    q's cluster to r, and everything else to m2.
+    """
+    q = _quasi_maximal_in(frame, region)
     cq = cluster_masks(frame)[q]
-    maxima = mask_of(classify_frame(frame).max_points)
-    others = ((1 << frame.size) - 1) & ~(cq | maxima)
+    others = frame.up[q] & ~(cq | max_mask)
     y = (others & -others).bit_length() - 1
-    n1_mask = frame.up[y] & maxima
-    n1 = (n1_mask & -n1_mask).bit_length() - 1
-    below_n1 = downset_mask(frame, 1 << n1)
-    final = {}
-    for x in frame.worlds():
-        if x == n1:
-            final[x] = 2  # m1
-        elif (below_n1 >> x) & 1 and not (cq >> x) & 1:
-            final[x] = 1  # v
-        elif (cq >> x) & 1:
-            final[x] = 0  # r
-        else:
-            final[x] = 3  # m2
-    return final
-
-
-def _tall_two_fork_direct(frame: Frame, w: int) -> ForbiddenWitness:
-    sub, embedding = generated_subframe(frame, w)
-    final = _tall_two_fork_map(sub, embedding.index(w))
-    pm = verified_morphism(sub, builtin("F1"), (final[i] for i in range(sub.size)))
-    return ForbiddenWitness("F1", w, embedding, pm)
+    group = next(g for g in groups if frame.up[y] & g)
+    cases = [(group, "m1"), (cq, "r"), (downset_mask(frame, group), "v"), (-1, "m2")]
+    return _witness(frame, "F1", q, cases)
 
 
 def minimal_forbidden_witness(frame: Frame) -> ForbiddenWitness:
     """For a rooted S4.1 frame that is not a 2-roach, produce a verified
     onto p-morphism from a point-generated subframe onto one of F1, F2, F3.
 
-    Mirrors the constructive case split: two depth-2 points seeing several
-    maxima dispatch to the crisscross collapses (F2 for a shared cluster, F3
-    otherwise); at most one such point dispatches to the tall-two-fork map
-    (F1), collapsing the maxima to two groups first when necessary.
+    Mirrors the constructive case split.  Two depth-2 points seeing several
+    maxima give F2 when they share a cluster and F3 otherwise.  At most one
+    such point gives F1, the tall two fork, at a world seeing two groups of
+    maxima: each maximum is a group when the point sees every maximum, and
+    otherwise the maxima it sees (or the least maximum) and the rest.
+
+    Each map is written directly on the generated subframe.  The proof
+    reaches it through quotients (the groups of maxima, then for F3 the
+    one-sided upsets, the clusters and the other depth-2 points) and pulls
+    the last map back; that gives the same maps, because every quotient
+    orders its blocks by least member, so index order and least worlds carry
+    over.
     """
     _require_frame(frame)
     if is_2_roach(frame) is not None:
         raise PreconditionError("frame is a 2-roach; no forbidden configuration exists")
-    flags = classify_frame(frame)
-    max_mask = mask_of(flags.max_points)
+    max_mask = mask_of(classify_frame(frame).max_points)
     depths = depth_vector(frame)
     fat = [w for w in frame.worlds()
            if depths[w] == 2 and (frame.up[w] & max_mask).bit_count() >= 2]
@@ -454,34 +390,20 @@ def minimal_forbidden_witness(frame: Frame) -> ForbiddenWitness:
     if len(fat) >= 2:
         a = fat[0]
         cmask_a = cluster_masks(frame)[a]
-        same = [w for w in fat[1:] if (cmask_a >> w) & 1]
-        if same:
-            return _crisscross_same_cluster(frame, a)
-        return _crisscross_distinct_clusters(frame, a, fat[1])
+        if not any((cmask_a >> w) & 1 for w in fat[1:]):
+            return _crisscross(frame, a, fat[1], max_mask)
+        m_a = frame.up[a] & max_mask
+        cases = [(1 << a, "r1"), (cmask_a, "r2"), (m_a & -m_a, "m1"), (-1, "m2")]
+        return _witness(frame, "F2", a, cases)
 
-    if len(fat) == 1 and frame.up[fat[0]] & max_mask == max_mask:
-        s = fat[0]
-        below_s = downset_mask(frame, 1 << s)
-        bad = [w for w in frame.worlds()
-               if not (below_s >> w) & 1 and (frame.up[w] & max_mask).bit_count() >= 2]
-        bad_mask = mask_of(bad)
-        w = _quasi_maximal_in(frame, bad_mask)
-        return _tall_two_fork_direct(frame, w)
+    if fat and frame.up[fat[0]] & max_mask == max_mask:
+        # q lies outside the downset of the fat point
+        below_s = downset_mask(frame, 1 << fat[0])
+        region = mask_of(w for w in frame.worlds()
+                         if not (below_s >> w) & 1 and (frame.up[w] & max_mask).bit_count() >= 2)
+        return _tall_two_fork(frame, [1 << m for m in worlds_of(max_mask)], region, max_mask)
 
-    # remaining frames: collapse the maxima into two groups, find a deep
-    # quasi-maximal point below both, and map its upset onto F1
-    if len(fat) == 1:
-        group1 = frame.up[fat[0]] & max_mask
-    else:
-        group1 = max_mask & -max_mask
+    group1 = frame.up[fat[0]] & max_mask if fat else max_mask & -max_mask
     group2 = max_mask & ~group1
-    collapsed, pm1 = collapse(frame, [worlds_of(g) for g in (group1, group2) if g])
-    maxima = mask_of(classify_frame(collapsed).max_points)
-    mu1 = maxima & -maxima
-    mu2 = maxima & ~mu1
-    region = downset_mask(collapsed, mu1) & downset_mask(collapsed, mu2)
-    q = _quasi_maximal_in(collapsed, region)
-    sub_q, emb_q = generated_subframe(collapsed, q)
-    final_sub = _tall_two_fork_map(sub_q, emb_q.index(q))
-    final = {emb_q[i]: final_sub[i] for i in range(sub_q.size)}
-    return _pullback_witness(frame, [pm1], final, "F1", q)
+    region = downset_mask(frame, group1) & downset_mask(frame, group2)
+    return _tall_two_fork(frame, [group1, group2], region, max_mask)

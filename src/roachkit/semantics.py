@@ -12,6 +12,7 @@ build step and no compiler.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from . import formulas as fm
@@ -41,6 +42,8 @@ class Model:
         # ValueError, a huge one exhaust memory, and True would read as 1
         size = self.frame.size
         for name, worlds in self.valuation.items():
+            if not isinstance(worlds, Collection):
+                raise FrameFormatError(f"valuation of {name!r} is {worlds!r}, not a set of worlds")
             for w in worlds:
                 if type(w) is not int or not 0 <= w < size:
                     raise FrameFormatError(
@@ -137,6 +140,6 @@ def find_refutation(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET)
     return valuation, world
 
 
-def frame_validates(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET) -> bool:
+def frame_validates(frame: Frame, phi: fm.Formula) -> bool:
     """True when the formula holds at every world under every valuation."""
-    return find_refutation(frame, phi, budget=budget) is None
+    return find_refutation(frame, phi) is None

@@ -13,7 +13,19 @@ from roachkit import frames as F
 from roachkit import ordinals as O
 from roachkit import roach as R
 from roachkit import semantics as S
-from roachkit.frames import Frame, canonical_key, classify_frame, downset_mask, mask_of, worlds_of
+from roachkit.errors import PreconditionError
+from roachkit.frames import (
+    Frame,
+    canonical_key,
+    classify_frame,
+    cluster_masks,
+    depth_vector,
+    downset_mask,
+    generated_subframe,
+    mask_of,
+    worlds_of,
+)
+from roachkit.morphisms import collapse, skeleton_morphism, verified_morphism
 
 
 def naive_preorder_classes(n):
@@ -302,6 +314,200 @@ def reference_is_willow_tree(frame):
         if classify_frame(body).quasi_tree:
             return R.WillowEvidence(R.SplittingCertificate(s, 2, t), worlds_of(body_mask))
     return None
+
+
+def _reference_pullback_witness(frame: Frame, chain, final_world_map, which: str,
+                      generator_pre: int) -> R.ForbiddenWitness:
+    """Compose collapse morphisms with a final partial map and restrict to
+    the generated subframe at the least preimage of ``generator_pre``."""
+    def total(w: int) -> int:
+        for pm in chain:
+            w = pm.mapping[w]
+        return w
+
+    candidates = [w for w in frame.worlds() if total(w) == generator_pre]
+    g = min(candidates)
+    sub, embedding = generated_subframe(frame, g)
+    pm = verified_morphism(sub, R.builtin(which), (final_world_map[total(v)] for v in embedding))
+    return R.ForbiddenWitness(which, g, embedding, pm)
+
+
+def _reference_crisscross_same_cluster(frame: Frame, a: int) -> R.ForbiddenWitness:
+    """a and a cluster-mate both have depth 2 and see two or more maxima;
+    the upset of a maps onto F2 directly."""
+    cmask = cluster_masks(frame)[a]
+    max_mask = mask_of(classify_frame(frame).max_points)
+    m_a = frame.up[a] & max_mask
+    m = (m_a & -m_a).bit_length() - 1
+    sub, embedding = generated_subframe(frame, a)
+    mapping = []
+    for i, old in enumerate(embedding):
+        if old == a:
+            mapping.append(0)
+        elif (cmask >> old) & 1:
+            mapping.append(1)
+        elif old == m:
+            mapping.append(2)
+        else:
+            mapping.append(3)
+    return R.ForbiddenWitness("F2", a, embedding, verified_morphism(sub, R.builtin("F2"), mapping))
+
+
+def _reference_quasi_maximal_in(frame: Frame, region_mask: int) -> int:
+    """Least world of the region whose strict successors leave the region."""
+    cmasks = cluster_masks(frame)
+    for q in worlds_of(region_mask):
+        if frame.up[q] & region_mask & ~cmasks[q] == 0:
+            return q
+    raise AssertionError("nonempty region of a finite frame has a quasi-maximal point")
+
+
+def _reference_crisscross_distinct_clusters(frame: Frame, a: int, b: int) -> R.ForbiddenWitness:
+    max_mask = mask_of(classify_frame(frame).max_points)
+    m_a = frame.up[a] & max_mask
+    m_b = frame.up[b] & max_mask
+    common = m_a & m_b
+    if common == 0:
+        n1 = (m_a & -m_a).bit_length() - 1
+        nn1 = (m_b & -m_b).bit_length() - 1
+        group1 = (1 << n1) | (1 << nn1)
+    elif common.bit_count() == 1:
+        group1 = common
+    else:
+        group1 = common & -common
+    group2 = max_mask & ~group1
+    chain = []
+    current = frame
+    ca, cb = a, b
+
+    step1, pm1 = collapse(current, [worlds_of(g) for g in (group1, group2) if g])
+    chain.append(pm1)
+    ca, cb = pm1.mapping[ca], pm1.mapping[cb]
+    current = step1
+
+    maxima = mask_of(classify_frame(current).max_points)
+    mu1 = maxima & -maxima
+    mu2 = maxima & ~mu1
+    full = (1 << current.size) - 1
+    blocks = [worlds_of(full & ~downset_mask(current, mu1)),
+              worlds_of(full & ~downset_mask(current, mu2))]
+    step2, pm2 = collapse(current, blocks)
+    chain.append(pm2)
+    ca, cb = pm2.mapping[ca], pm2.mapping[cb]
+    current = step2
+
+    pm3 = skeleton_morphism(current)
+    chain.append(pm3)
+    ca, cb = pm3.mapping[ca], pm3.mapping[cb]
+    current = pm3.target
+
+    depths = depth_vector(current)
+    others = [w for w in current.worlds() if depths[w] == 2 and w != ca]
+    if len(others) > 1:
+        step4, pm4 = collapse(current, [others])
+        chain.append(pm4)
+        ca, cb = pm4.mapping[ca], pm4.mapping[cb]
+        current = step4
+
+    region = downset_mask(current, 1 << ca) & downset_mask(current, 1 << cb)
+    q = _reference_quasi_maximal_in(current, region)
+    cq = cluster_masks(current)[q]
+    maxima = mask_of(classify_frame(current).max_points)
+    n1 = maxima & -maxima
+    final = {}
+    for x in current.worlds():
+        if (n1 >> x) & 1:
+            final[x] = 3  # m1
+        elif (maxima >> x) & 1:
+            final[x] = 4  # m2
+        elif (cq >> x) & 1:
+            final[x] = 0  # r
+        elif (downset_mask(current, 1 << ca) >> x) & 1 and (current.up[q] >> x) & 1:
+            final[x] = 1  # v1
+        else:
+            final[x] = 2  # v2
+    return _reference_pullback_witness(frame, chain, final, "F3", q)
+
+
+def _reference_tall_two_fork_map(frame: Frame, q: int) -> dict[int, int]:
+    """The four-case map onto F1 from a rooted frame whose root cluster is
+    the only place seeing several maxima and whose depth is at least 3."""
+    cq = cluster_masks(frame)[q]
+    maxima = mask_of(classify_frame(frame).max_points)
+    others = ((1 << frame.size) - 1) & ~(cq | maxima)
+    y = (others & -others).bit_length() - 1
+    n1_mask = frame.up[y] & maxima
+    n1 = (n1_mask & -n1_mask).bit_length() - 1
+    below_n1 = downset_mask(frame, 1 << n1)
+    final = {}
+    for x in frame.worlds():
+        if x == n1:
+            final[x] = 2  # m1
+        elif (below_n1 >> x) & 1 and not (cq >> x) & 1:
+            final[x] = 1  # v
+        elif (cq >> x) & 1:
+            final[x] = 0  # r
+        else:
+            final[x] = 3  # m2
+    return final
+
+
+def _reference_tall_two_fork_direct(frame: Frame, w: int) -> R.ForbiddenWitness:
+    sub, embedding = generated_subframe(frame, w)
+    final = _reference_tall_two_fork_map(sub, embedding.index(w))
+    pm = verified_morphism(sub, R.builtin("F1"), (final[i] for i in range(sub.size)))
+    return R.ForbiddenWitness("F1", w, embedding, pm)
+
+
+def reference_minimal_forbidden_witness(frame: Frame) -> R.ForbiddenWitness:
+    """``minimal_forbidden_witness`` through the quotient chain: collapse
+    the maxima into two groups (and, for F3, the one-sided upsets, the
+    clusters and the other depth-2 points), build the map on the quotient,
+    and pull it back to the least preimage of the generator.  Every quotient
+    orders its blocks by least member, which the direct maps rely on."""
+    R._require_frame(frame)
+    if R.is_2_roach(frame) is not None:
+        raise PreconditionError("frame is a 2-roach; no forbidden configuration exists")
+    flags = classify_frame(frame)
+    max_mask = mask_of(flags.max_points)
+    depths = depth_vector(frame)
+    fat = [w for w in frame.worlds()
+           if depths[w] == 2 and (frame.up[w] & max_mask).bit_count() >= 2]
+
+    if len(fat) >= 2:
+        a = fat[0]
+        cmask_a = cluster_masks(frame)[a]
+        same = [w for w in fat[1:] if (cmask_a >> w) & 1]
+        if same:
+            return _reference_crisscross_same_cluster(frame, a)
+        return _reference_crisscross_distinct_clusters(frame, a, fat[1])
+
+    if len(fat) == 1 and frame.up[fat[0]] & max_mask == max_mask:
+        s = fat[0]
+        below_s = downset_mask(frame, 1 << s)
+        bad = [w for w in frame.worlds()
+               if not (below_s >> w) & 1 and (frame.up[w] & max_mask).bit_count() >= 2]
+        bad_mask = mask_of(bad)
+        w = _reference_quasi_maximal_in(frame, bad_mask)
+        return _reference_tall_two_fork_direct(frame, w)
+
+    # remaining frames: collapse the maxima into two groups, find a deep
+    # quasi-maximal point below both, and map its upset onto F1
+    if len(fat) == 1:
+        group1 = frame.up[fat[0]] & max_mask
+    else:
+        group1 = max_mask & -max_mask
+    group2 = max_mask & ~group1
+    collapsed, pm1 = collapse(frame, [worlds_of(g) for g in (group1, group2) if g])
+    maxima = mask_of(classify_frame(collapsed).max_points)
+    mu1 = maxima & -maxima
+    mu2 = maxima & ~mu1
+    region = downset_mask(collapsed, mu1) & downset_mask(collapsed, mu2)
+    q = _reference_quasi_maximal_in(collapsed, region)
+    sub_q, emb_q = generated_subframe(collapsed, q)
+    final_sub = _reference_tall_two_fork_map(sub_q, emb_q.index(q))
+    final = {emb_q[i]: final_sub[i] for i in range(sub_q.size)}
+    return _reference_pullback_witness(frame, [pm1], final, "F1", q)
 
 
 def relabel(frame, perm):

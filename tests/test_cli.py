@@ -138,6 +138,25 @@ def test_frame_file_and_stdin(tmp_path, capsys, monkeypatch):
     assert code == 0 and "2-roach" in out
 
 
+def test_strict_rejects_a_relation_that_is_not_closed(tmp_path, capsys, monkeypatch):
+    import io
+    open_chain = '{"size": 3, "le": [[0, 1], [1, 2]]}'
+    closed_chain = '{"size": 3, "le": [[0, 1], [1, 2], [0, 2]]}'
+    path = tmp_path / "frame.json"
+    for text, expected in ((open_chain, 1), (closed_chain, 0)):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "check", str(path), "--strict")
+        assert code == expected, (text, out, err)
+        assert len(err.splitlines()) == expected
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "check", "-", "--strict")
+        assert code == expected, (text, out, err)
+        assert len(err.splitlines()) == expected
+    # without the flag the edges are closed, as before
+    path.write_text(open_chain)
+    assert run_cli(capsys, "check", str(path))[0] == 0
+
+
 def test_morphism_find_and_permissible(capsys):
     code, out, _ = run_cli(capsys, "morphism-find", "--source", "builtin:T2",
                            "--target", "builtin:F1")

@@ -1,8 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import reference_is_2_roach, reference_is_willow_tree, relabel
+from conftest import (
+    reference_expand,
+    reference_is_2_roach,
+    reference_is_willow_tree,
+    reference_minimal_forbidden_witness,
+    relabel,
+)
 from roachkit import frames as F
 from roachkit import morphisms as M
 from roachkit import roach as R
@@ -251,6 +258,65 @@ def test_minimal_witness_every_small_frame():
             assert witness.embedding == emb
             assert witness.morphism.target == R.builtin(witness.which)
             assert M.check_p_morphism(witness.morphism, require_onto=True) is None
+
+
+def _witness_branch(frame):
+    """The case of ``minimal_forbidden_witness`` a non-2-roach falls in."""
+    max_mask = F.mask_of(F.classify_frame(frame).max_points)
+    depths = F.depth_vector(frame)
+    fat = [w for w in frame.worlds()
+           if depths[w] == 2 and (frame.up[w] & max_mask).bit_count() >= 2]
+    if len(fat) >= 2:
+        shared = any(F.cluster_masks(frame)[fat[0]] >> w & 1 for w in fat[1:])
+        return "F2 shared cluster" if shared else "F3"
+    if not fat:
+        return "F1 no fat point"
+    if frame.up[fat[0]] & max_mask == max_mask:
+        return "F1 fat point sees every maximum"
+    return "F1 one fat point"
+
+
+def _random_rooted_s41(rng, n):
+    """A random rooted S4.1 frame on ``n`` worlds: a random poset below a
+    root, its non-maximal points blown up into clusters, shuffled."""
+    k = rng.randint(max(3, n // 2), n)
+    p = rng.uniform(0.15, 0.5)
+    pairs = [(0, j) for j in range(1, k)]
+    pairs += [(i, j) for i in range(1, k) for j in range(i + 1, k) if rng.random() < p]
+    poset = F.normalize_frame(pairs, k)
+    inner = [w for w in poset.worlds() if w not in F.classify_frame(poset).max_points]
+    sizes = [1] * k
+    for _ in range(n - k):
+        sizes[rng.choice(inner)] += 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(reference_expand(poset, sizes), perm)
+
+
+def test_minimal_witness_matches_the_quotient_chain():
+    # the direct maps equal the ones the quotient chain builds, on every
+    # non-2-roach class through seven worlds, on relabelings of them (which
+    # move the least worlds every case picks) and on larger random frames
+    classes = [f for n in range(1, 8) for f in F.enumerate_frames(n, "s41-rooted", ceiling=7)
+               if R.is_2_roach(f) is None]
+    assert len(classes) == 461
+    branches = Counter(map(_witness_branch, classes))
+    assert len(branches) == 5 and min(branches.values()) >= 15, branches
+    rng = random.Random(2308)
+    relabeled = []
+    for f in rng.choices(classes, k=600):
+        perm = list(range(f.size))
+        rng.shuffle(perm)
+        relabeled.append(relabel(f, perm))
+    larger = []
+    while len(larger) < 600:
+        f = _random_rooted_s41(rng, rng.randint(8, 14))
+        if R.is_2_roach(f) is None:
+            larger.append(f)
+    for f in classes + relabeled + larger:
+        got, want = R.minimal_forbidden_witness(f), reference_minimal_forbidden_witness(f)
+        assert (got.which, got.generator, got.embedding, got.morphism.mapping) == (
+            want.which, want.generator, want.embedding, want.morphism.mapping), f
 
 
 def test_forbidden_configuration_census():

@@ -37,8 +37,9 @@ def test_extension_missing_variables_read_empty():
 
 
 def test_model_rejects_out_of_range_valuation():
-    # negative and huge worlds must not reach a bit shift; True is no world
-    for worlds in ({3}, {-1}, {99999999999}, {True}):
+    # negative and huge worlds must not reach a bit shift; True is no world,
+    # and a number or None is no set of worlds
+    for worlds in ({3}, {-1}, {99999999999}, {True}, 5, None, 2.0):
         with pytest.raises(FrameFormatError):
             S.Model(builtin("point"), {"p": worlds})
 
