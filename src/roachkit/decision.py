@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import formulas as fm
-from . import roach
+from . import morphisms, roach
 from .errors import CeilingExceededError
 from .frames import enumerate_frames
 from .semantics import Model, find_refutation
 
-DECISION_CEILING = 6
+DECISION_CEILING = 8
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,21 @@ def decide_lr2(phi: fm.Formula, bound: int) -> Verdict:
 
     A ``Refuted`` verdict is sound unconditionally.  ``NoCountermodelUpTo``
     only reports a clean bounded search; it is not a theoremhood claim.
+
+    The frame formula of a rooted frame F (recognized by
+    ``formulas.jankov_frame``) is valid on G exactly when F is not an onto
+    p-morphic image of a point-generated subframe of G, so a 2-roach G for
+    which ``morphisms.is_permissible(F, G)`` finds no such image is skipped
+    unscanned.  When it finds one, G is scanned as any other frame, so the
+    verdict is the one the scan alone would give.
     """
     if bound < 1 or bound > DECISION_CEILING:
         raise CeilingExceededError(f"bound must lie in 1..{DECISION_CEILING}")
+    config = fm.jankov_frame(phi)
     for size in range(1, bound + 1):
         for frame in enumerate_frames(size, "2-roach", ceiling=DECISION_CEILING):
+            if config is not None and morphisms.is_permissible(config, frame) is None:
+                continue
             refutation = find_refutation(frame, phi)
             if refutation is not None:
                 valuation, world = refutation

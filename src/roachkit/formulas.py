@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FormulaSyntaxError, PreconditionError
+from .errors import FormulaSyntaxError, FrameFormatError, PreconditionError
 from .frames import Frame, classify_frame
 
 
@@ -410,6 +410,48 @@ def fine_jankov(frame: Frame) -> Formula:
                 clauses.append(Implies(p[u], Not(Diamond(p[w]))))
     described = And(p[root], Box(conj(clauses)))
     return Implies(described, Not(p[root]))
+
+
+def jankov_frame(phi: Formula) -> Frame | None:
+    """The rooted frame whose Fine-Jankov formula is ``phi``, or None.
+
+    The relation is read from the ``p_u -> <>p_w`` clauses, and the frame is
+    returned only when rebuilding ``fine_jankov`` from it gives ``phi``
+    exactly.  Everything before the rebuild walks the formula without
+    recursion, and any formula not of the shape ``(p_r & [](...)) -> ~p_r``
+    is rejected after a few attribute reads."""
+    if not (isinstance(phi, Implies) and isinstance(phi.left, And)):
+        return None
+    root_var, body = phi.left.left, phi.left.right
+    if not (isinstance(root_var, Var) and isinstance(body, Box) and phi.right == Not(root_var)):
+        return None
+    clauses, stack = [], [body.operand]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, And):
+            stack += (node.right, node.left)
+        else:
+            clauses.append(node)
+    # one disjunction, n(n-1) exclusions and n^2 (un)reachability clauses
+    n = 1
+    while 2 * n * n - n + 1 < len(clauses):
+        n += 1
+    if 2 * n * n - n + 1 != len(clauses):
+        return None
+    up = [0] * n
+    for i, clause in enumerate(clauses[len(clauses) - n * n:]):
+        u, w = divmod(i, n)
+        if not (isinstance(clause, Implies) and clause.left == Var(f"p{u}")):
+            return None
+        if clause.right == Diamond(Var(f"p{w}")):
+            up[u] |= 1 << w
+    try:
+        frame = Frame(n, tuple(up))
+    except FrameFormatError:
+        return None
+    if not classify_frame(frame).rooted:
+        return None
+    return frame if fine_jankov(frame) == phi else None
 
 
 def is_generator(frame: Frame, seed) -> bool:

@@ -673,4 +673,7 @@ def frame_from_json(text: str, strict: bool = False) -> Frame:
     if labels is not None and (not isinstance(labels, list) or len(labels) != size
                                or not all(isinstance(x, str) for x in labels)):
         raise FrameFormatError(f'"labels" must be a list of {size} strings')
-    return normalize_frame(pairs, size, labels=labels, strict=strict or bool(data.get("strict")))
+    strict_field = data.get("strict", False)
+    if not isinstance(strict_field, bool):
+        raise FrameFormatError(f'"strict" must be true or false, got {strict_field!r}')
+    return normalize_frame(pairs, size, labels=labels, strict=strict or strict_field)

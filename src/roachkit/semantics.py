@@ -115,8 +115,9 @@ def find_refutation(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET)
     """Least refuting (valuation, world) pair, or None when valid.
 
     Raises BudgetExceededError when the valuation space is larger than the
-    budget; callers holding a rooted target can fall back to the Fine-Jankov
-    route through the morphism search instead.
+    budget.  This always scans; ``decision.decide_lr2`` decides a frame
+    formula on a frame by the morphism search first and scans only frames
+    that refute it.
     """
     global _last_compiled
     cached_phi, cached_compiler, program = _last_compiled

@@ -13,7 +13,7 @@ from roachkit import frames as F
 from roachkit import ordinals as O
 from roachkit import roach as R
 from roachkit import semantics as S
-from roachkit.errors import PreconditionError
+from roachkit.errors import CeilingExceededError, PreconditionError
 from roachkit.frames import (
     Frame,
     canonical_key,
@@ -532,6 +532,20 @@ def reference_decide_lr2(phi, bound):
                 if refutation is not None:
                     valuation, world = refutation
                     return D.Refuted(S.Model(frame, valuation), world)
+    return D.NoCountermodelUpTo(bound)
+
+
+def reference_scan_decide_lr2(phi, bound):
+    """``decide_lr2`` without the Fine-Jankov route: every 2-roach up to the
+    bound is scanned, frame formulas included."""
+    if bound < 1 or bound > D.DECISION_CEILING:
+        raise CeilingExceededError(f"bound must lie in 1..{D.DECISION_CEILING}")
+    for size in range(1, bound + 1):
+        for frame in D.enumerate_frames(size, "2-roach", ceiling=D.DECISION_CEILING):
+            refutation = S.find_refutation(frame, phi)
+            if refutation is not None:
+                valuation, world = refutation
+                return D.Refuted(S.Model(frame, valuation), world)
     return D.NoCountermodelUpTo(bound)
 
 

@@ -157,6 +157,15 @@ def test_strict_rejects_a_relation_that_is_not_closed(tmp_path, capsys, monkeypa
     assert run_cli(capsys, "check", str(path))[0] == 0
 
 
+def test_non_boolean_strict_field_exits_1_with_one_line(tmp_path, capsys):
+    path = tmp_path / "frame.json"
+    for value in ('"false"', '"no"', "0", "[]", "null"):
+        path.write_text('{"size": 3, "le": [[0, 1], [1, 2], [0, 2]], "strict": %s}' % value)
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 1 and out == "", (value, out, err)
+        assert err.splitlines() == [f'error: "strict" must be true or false, got {json.loads(value)!r}']
+
+
 def test_morphism_find_and_permissible(capsys):
     code, out, _ = run_cli(capsys, "morphism-find", "--source", "builtin:T2",
                            "--target", "builtin:F1")

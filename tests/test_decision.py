@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from conftest import reference_decide_lr2
+from conftest import reference_decide_lr2, reference_scan_decide_lr2
 from roachkit import decision as D
 from roachkit import formulas as fm
 from roachkit import frames as F
+from roachkit import morphisms as M
 from roachkit import roach as R
 from roachkit import semantics as S
 from roachkit.errors import CeilingExceededError
@@ -42,6 +43,12 @@ def test_mckinsey_has_no_small_countermodel():
 def test_own_axioms_have_no_small_countermodels():
     for chi in D.lr2_axioms()[1:]:
         assert D.decide_lr2(chi, 4) == D.NoCountermodelUpTo(4)
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 3], ids=["ma", "chi_F1", "chi_F2", "chi_F3"])
+def test_own_axioms_have_no_countermodel_up_to_the_ceiling(index):
+    assert D.DECISION_CEILING == 8
+    assert D.decide_lr2(D.lr2_axioms()[index], 8) == D.NoCountermodelUpTo(8)
 
 
 def test_chi_g_separates_from_s41():
@@ -103,3 +110,64 @@ def test_verdicts_match_the_search_over_filtered_classes():
         if size <= 4:  # same representative, so the same least refutation
             assert verdict == expected
     assert refuted_sizes == {1, 2, 3, 4, 5}
+
+
+def _rooted(up_to):
+    return [f for n in range(1, up_to + 1) for f in F.enumerate_frames(n, "rooted")]
+
+
+def test_route_matches_the_scan_over_two_roaches():
+    # the bound per world count of F keeps each scan of chi_F small
+    bounds = {1: 8, 2: 7, 3: 6, 4: 5}
+    kinds = set()
+    for f in _rooted(4):
+        chi = fm.fine_jankov(f)
+        verdict = D.decide_lr2(chi, bounds[f.size])
+        assert repr(verdict) == repr(reference_scan_decide_lr2(chi, bounds[f.size]))
+        kinds.add(type(verdict))
+    assert kinds == {D.Refuted, D.NoCountermodelUpTo}
+
+
+def _single_host_verdicts(monkeypatch, limit):
+    """``(F, G, decide_lr2, reference scan)`` on chi_F for each rooted F of
+    up to 4 worlds and each rooted G of up to 5 worlds with |F| * |G| <=
+    limit, both searching G alone.  G need not be a 2-roach: the frame
+    formula's contract holds on every finite frame.  Searches over all the
+    2-roaches cannot tell a route that tries only G's root from the real
+    one: 2-roaches are closed under generated subframes and are searched by
+    size, so F is an image of the first refuting 2-roach itself."""
+    hosts = _rooted(5)
+    for f in _rooted(4):
+        chi = fm.fine_jankov(f)
+        for g in hosts:
+            if f.size * g.size > limit:
+                continue
+            monkeypatch.setattr(D, "enumerate_frames",
+                                lambda size, *_, g=g, **__: [g] if size == g.size else [])
+            yield f, g, D.decide_lr2(chi, g.size), reference_scan_decide_lr2(chi, g.size)
+
+
+def test_route_matches_the_scan_on_single_hosts(monkeypatch):
+    pairs = refuted = 0
+    for f, g, verdict, expected in _single_host_verdicts(monkeypatch, 16):
+        assert repr(verdict) == repr(expected), (f, g)
+        pairs += 1
+        refuted += isinstance(expected, D.Refuted)
+    assert (pairs, refuted) == (860, 292)
+
+
+def test_single_host_check_catches_a_route_that_tries_only_the_root(monkeypatch):
+    def root_only(config, host):
+        root = F.classify_frame(host).roots[0]
+        sub, embedding = F.generated_subframe(host, root)
+        pm = M.find_onto_p_morphism(sub, config)
+        return None if pm is None else M.Permissibility(root, embedding, pm)
+
+    monkeypatch.setattr(M, "is_permissible", root_only)
+    missed = [(f, expected) for f, g, verdict, expected in _single_host_verdicts(monkeypatch, 10)
+              if repr(verdict) != repr(expected)]
+    # a two-world cluster is the image of a cluster above the host's root,
+    # but not of the whole host when that also has a maximal point
+    assert missed
+    for f, expected in missed:
+        assert f.up == (3, 3) and isinstance(expected, D.Refuted)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import relabel
 from roachkit import formulas as fm
 from roachkit import semantics as S
 from roachkit.errors import FormulaSyntaxError, PreconditionError
@@ -188,3 +189,109 @@ def test_one_generated_forbidden_frames():
     assert fm.is_generator(builtin("F3"), {3, 1, 0})    # {m1, v1, r}
     # the empty seed only generates the trivial algebra
     assert not fm.is_generator(builtin("F1"), set())
+
+
+def _chi_parts(phi):
+    """The root variable and the clause list of a Fine-Jankov formula."""
+    clauses, stack = [], [phi.left.right.operand]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, fm.And):
+            stack += (node.right, node.left)
+        else:
+            clauses.append(node)
+    return phi.left.left, clauses
+
+
+def _chi(root, clauses):
+    return fm.Implies(fm.And(root, fm.Box(fm.conj(clauses))), fm.Not(root))
+
+
+def _jankov_sample():
+    from roachkit import frames as F
+
+    rooted = [f for n in range(1, 6) for f in F.enumerate_frames(n, "rooted")]
+    named = [builtin(name) for name in ("F1", "F2", "F3", "G")]
+    # the same frames with the root last, not first
+    reversed_ = [relabel(f, range(f.size - 1, -1, -1)) for f in named]
+    return rooted + named + reversed_
+
+
+def test_jankov_frame_round_trips():
+    sample = _jankov_sample()
+    assert len(sample) == 69 + 4 + 4
+    for f in sample:
+        chi = fm.fine_jankov(f)
+        decoded = fm.jankov_frame(chi)
+        assert decoded is not None and (decoded.size, decoded.up) == (f.size, f.up)
+        assert fm.fine_jankov(decoded) == chi
+
+
+def test_jankov_frame_rejects_random_formulas():
+    rng = random.Random(45)
+    names = [f"p{i}" for i in range(4)]
+    for i in range(1000):
+        phi = _random_formula(rng, rng.randrange(1, 8), names)
+        if i % 2:  # the recognized outer shape around a random body
+            root = fm.Var(rng.choice(names))
+            phi = fm.Implies(fm.And(root, fm.Box(phi)), fm.Not(root))
+        assert fm.jankov_frame(phi) is None, phi
+
+
+def test_jankov_frame_rejects_near_misses():
+    other_frames = 0
+    for f in _jankov_sample():
+        chi = fm.fine_jankov(f)
+        root, clauses = _chi_parts(chi)
+        assert fm.jankov_frame(fm.Not(chi)) is None
+        for i in range(len(clauses)):
+            assert fm.jankov_frame(_chi(root, clauses[:i] + clauses[i + 1:])) is None
+        for i, clause in enumerate(clauses):
+            if not (isinstance(clause, fm.Implies) and isinstance(clause.right, fm.Diamond)):
+                continue
+            wrapped = _chi(root, clauses[:i] + [fm.Not(clause)] + clauses[i + 1:])
+            assert fm.jankov_frame(wrapped) is None
+            flipped = fm.Implies(clause.left, fm.Not(clause.right))
+            mutant = _chi(root, clauses[:i] + [flipped] + clauses[i + 1:])
+            u, w = int(clause.left.name[1:]), int(clause.right.operand.name[1:])
+            decoded = fm.jankov_frame(mutant)
+            if u == w:  # no longer reflexive
+                assert decoded is None
+            elif decoded is not None:  # still a rooted preorder: F without u <= w
+                assert decoded.up[u] == f.up[u] & ~(1 << w)
+                assert fm.fine_jankov(decoded) == mutant
+                other_frames += 1
+        for w in range(f.size):
+            other = fm.Var(f"p{w}")
+            if other != root:
+                assert fm.jankov_frame(_chi(other, clauses)) is None
+                assert fm.jankov_frame(fm.Implies(chi.left, fm.Not(other))) is None
+        renamed = {f"p{w}": fm.Var(f"q{w}") for w in range(f.size)}
+        if f.size > 1:
+            renamed.update(p0=fm.Var("p1"), p1=fm.Var("p0"))
+        assert fm.jankov_frame(_rename(chi, renamed)) is None
+    assert other_frames == 139
+
+
+def _rename(phi, names):
+    match phi:
+        case fm.Var(name=name):
+            return names.get(name, phi)
+        case fm.Not(operand=op) | fm.Box(operand=op) | fm.Diamond(operand=op):
+            return type(phi)(_rename(op, names))
+        case fm.And(left=a, right=b) | fm.Or(left=a, right=b) | fm.Implies(left=a, right=b):
+            return type(phi)(_rename(a, names), _rename(b, names))
+    return phi
+
+
+def test_jankov_frame_does_not_recurse_on_deep_formulas():
+    deep = fm.P
+    for _ in range(5000):
+        deep = fm.Not(deep)
+    assert fm.jankov_frame(deep) is None
+    # a deep conjunction inside the recognized outer shape is walked, not recursed
+    body = fm.Implies(fm.Var("p0"), fm.Diamond(fm.Var("p0")))
+    for _ in range(5000):
+        body = fm.And(body, fm.Var("p0"))
+    p0 = fm.Var("p0")
+    assert fm.jankov_frame(fm.Implies(fm.And(p0, fm.Box(body)), fm.Not(p0))) is None

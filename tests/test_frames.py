@@ -298,6 +298,19 @@ def test_frame_json_applies_closure_unless_strict():
         F.frame_from_json('{"size": 3, "le": [[0, 1], [1, 2]], "strict": true}')
 
 
+def test_frame_json_strict_field_must_be_a_boolean():
+    open_chain = '{"size": 3, "le": [[0, 1], [1, 2]], "strict": %s}'
+    assert F.frame_from_json(open_chain % "false").le(0, 2)
+    with pytest.raises(FrameFormatError, match="strict"):
+        F.frame_from_json(open_chain % "true")
+    closed = '{"size": 3, "le": [[0, 1], [1, 2], [0, 2]], "strict": %s}'
+    assert F.frame_from_json(closed % "true").le(0, 2)
+    for value in ('"false"', '"no"', "0", "[]", "null", "1", '"true"'):
+        for text in (open_chain, closed):
+            with pytest.raises(FrameFormatError, match='"strict" must be true or false'):
+                F.frame_from_json(text % value)
+
+
 def test_frame_json_bad_payloads():
     with pytest.raises(FrameFormatError):
         F.frame_from_json("not json")
