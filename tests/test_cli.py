@@ -163,7 +163,8 @@ def test_non_boolean_strict_field_exits_1_with_one_line(tmp_path, capsys):
         path.write_text('{"size": 3, "le": [[0, 1], [1, 2], [0, 2]], "strict": %s}' % value)
         code, out, err = run_cli(capsys, "check", str(path))
         assert code == 1 and out == "", (value, out, err)
-        assert err.splitlines() == [f'error: "strict" must be true or false, got {json.loads(value)!r}']
+        message = f'"strict" must be true or false, got {json.loads(value)!r}'
+        assert err.splitlines() == [f"error: {message}"]
 
 
 def test_morphism_find_and_permissible(capsys):

@@ -112,15 +112,11 @@ def test_verdicts_match_the_search_over_filtered_classes():
     assert refuted_sizes == {1, 2, 3, 4, 5}
 
 
-def _rooted(up_to):
-    return [f for n in range(1, up_to + 1) for f in F.enumerate_frames(n, "rooted")]
-
-
-def test_route_matches_the_scan_over_two_roaches():
+def test_route_matches_the_scan_over_two_roaches(small_frames):
     # the bound per world count of F keeps each scan of chi_F small
     bounds = {1: 8, 2: 7, 3: 6, 4: 5}
     kinds = set()
-    for f in _rooted(4):
+    for f in small_frames:
         chi = fm.fine_jankov(f)
         verdict = D.decide_lr2(chi, bounds[f.size])
         assert repr(verdict) == repr(reference_scan_decide_lr2(chi, bounds[f.size]))
@@ -128,7 +124,7 @@ def test_route_matches_the_scan_over_two_roaches():
     assert kinds == {D.Refuted, D.NoCountermodelUpTo}
 
 
-def _single_host_verdicts(monkeypatch, limit):
+def _single_host_verdicts(monkeypatch, small_frames, limit):
     """``(F, G, decide_lr2, reference scan)`` on chi_F for each rooted F of
     up to 4 worlds and each rooted G of up to 5 worlds with |F| * |G| <=
     limit, both searching G alone.  G need not be a 2-roach: the frame
@@ -136,8 +132,8 @@ def _single_host_verdicts(monkeypatch, limit):
     2-roaches cannot tell a route that tries only G's root from the real
     one: 2-roaches are closed under generated subframes and are searched by
     size, so F is an image of the first refuting 2-roach itself."""
-    hosts = _rooted(5)
-    for f in _rooted(4):
+    hosts = [g for n in range(1, 6) for g in F.enumerate_frames(n, "rooted")]
+    for f in small_frames:
         chi = fm.fine_jankov(f)
         for g in hosts:
             if f.size * g.size > limit:
@@ -147,16 +143,16 @@ def _single_host_verdicts(monkeypatch, limit):
             yield f, g, D.decide_lr2(chi, g.size), reference_scan_decide_lr2(chi, g.size)
 
 
-def test_route_matches_the_scan_on_single_hosts(monkeypatch):
+def test_route_matches_the_scan_on_single_hosts(monkeypatch, small_frames):
     pairs = refuted = 0
-    for f, g, verdict, expected in _single_host_verdicts(monkeypatch, 16):
+    for f, g, verdict, expected in _single_host_verdicts(monkeypatch, small_frames, 16):
         assert repr(verdict) == repr(expected), (f, g)
         pairs += 1
         refuted += isinstance(expected, D.Refuted)
     assert (pairs, refuted) == (860, 292)
 
 
-def test_single_host_check_catches_a_route_that_tries_only_the_root(monkeypatch):
+def test_single_host_check_catches_a_route_that_tries_only_the_root(monkeypatch, small_frames):
     def root_only(config, host):
         root = F.classify_frame(host).roots[0]
         sub, embedding = F.generated_subframe(host, root)
@@ -164,7 +160,8 @@ def test_single_host_check_catches_a_route_that_tries_only_the_root(monkeypatch)
         return None if pm is None else M.Permissibility(root, embedding, pm)
 
     monkeypatch.setattr(M, "is_permissible", root_only)
-    missed = [(f, expected) for f, g, verdict, expected in _single_host_verdicts(monkeypatch, 10)
+    verdicts = _single_host_verdicts(monkeypatch, small_frames, 10)
+    missed = [(f, expected) for f, _, verdict, expected in verdicts
               if repr(verdict) != repr(expected)]
     # a two-world cluster is the image of a cluster above the host's root,
     # but not of the whole host when that also has a maximal point

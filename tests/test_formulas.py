@@ -4,6 +4,7 @@ import pytest
 
 from conftest import relabel
 from roachkit import formulas as fm
+from roachkit import frames as F
 from roachkit import semantics as S
 from roachkit.errors import FormulaSyntaxError, PreconditionError
 from roachkit.frames import normalize_frame
@@ -208,8 +209,6 @@ def _chi(root, clauses):
 
 
 def _jankov_sample():
-    from roachkit import frames as F
-
     rooted = [f for n in range(1, 6) for f in F.enumerate_frames(n, "rooted")]
     named = [builtin(name) for name in ("F1", "F2", "F3", "G")]
     # the same frames with the root last, not first

@@ -307,7 +307,7 @@ def test_frame_json_strict_field_must_be_a_boolean():
     assert F.frame_from_json(closed % "true").le(0, 2)
     for value in ('"false"', '"no"', "0", "[]", "null", "1", '"true"'):
         for text in (open_chain, closed):
-            with pytest.raises(FrameFormatError, match='"strict" must be true or false'):
+            with pytest.raises(FrameFormatError, match='"strict" must be'):
                 F.frame_from_json(text % value)
 
 
