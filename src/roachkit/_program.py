@@ -1,24 +1,35 @@
 """Compilation of formula ASTs into flat programs for the validity scanner.
 
-A program is a postorder instruction list over slots; common subformulas are
-shared, and each slot records the instruction after which it is dead so the
-scanner can free its values.
+A program is a postorder instruction list over slots.  Equal subformulas
+share one slot: a node's instruction names its operands' slots, so two
+nodes are equal exactly when their instructions are, and the compiler looks
+instructions up instead of hashing formula subtrees.  Each instruction
+lists the slots that die after it, so the scanner can free their values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import formulas as fm
 
 OP_BOT, OP_TOP, OP_VAR, OP_NOT, OP_AND, OP_OR, OP_IMP, OP_BOX, OP_DIA = range(9)
+
+_UNARY = {fm.Not: OP_NOT, fm.Box: OP_BOX, fm.Diamond: OP_DIA}
+_BINARY = {fm.And: OP_AND, fm.Or: OP_OR, fm.Implies: OP_IMP}
+_CONSTANT = {fm.Bot: (OP_BOT, 0, 0), fm.Top: (OP_TOP, 0, 0)}
 
 
 @dataclass(frozen=True)
 class Program:
     ops: tuple[tuple[int, int, int], ...]
     variables: tuple[str, ...]
-    last_use: tuple[int, ...]
+    # dies[pc]: the slots, ascending, last read by instruction pc; the
+    # result slot outlives the program and is in no entry
+    dies: tuple[tuple[int, ...], ...]
+    # the scanner's one-chunk plan per world count, built on first use; it
+    # lives and dies with the program and takes no part in equality
+    plans: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n_vars(self) -> int:
@@ -26,41 +37,30 @@ class Program:
 
 
 def compile_formula(phi: fm.Formula) -> Program:
-    variables = fm.variables(phi)
+    nodes = fm.postorder(phi)
+    variables = tuple(sorted({node.name for node in nodes if type(node) is fm.Var}))
     var_index = {name: i for i, name in enumerate(variables)}
     ops: list[tuple[int, int, int]] = []
-    memo: dict[fm.Formula, int] = {}
+    slot_of_instr: dict[tuple[int, int, int], int] = {}
+    slot_of_node: dict[int, int] = {}
+    for node in nodes:
+        kind = type(node)
+        if kind in _BINARY:
+            instr = (_BINARY[kind], slot_of_node[id(node.left)], slot_of_node[id(node.right)])
+        elif kind in _UNARY:
+            instr = (_UNARY[kind], slot_of_node[id(node.operand)], 0)
+        elif kind is fm.Var:
+            instr = (OP_VAR, var_index[node.name], 0)
+        elif kind in _CONSTANT:
+            instr = _CONSTANT[kind]
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+        slot = slot_of_instr.get(instr)
+        if slot is None:
+            slot = slot_of_instr[instr] = len(ops)
+            ops.append(instr)
+        slot_of_node[id(node)] = slot
 
-    def emit(node) -> int:
-        if node in memo:
-            return memo[node]
-        match node:
-            case fm.Bot():
-                instr = (OP_BOT, 0, 0)
-            case fm.Top():
-                instr = (OP_TOP, 0, 0)
-            case fm.Var(name=name):
-                instr = (OP_VAR, var_index[name], 0)
-            case fm.Not(operand=op):
-                instr = (OP_NOT, emit(op), 0)
-            case fm.And(left=a, right=b):
-                instr = (OP_AND, emit(a), emit(b))
-            case fm.Or(left=a, right=b):
-                instr = (OP_OR, emit(a), emit(b))
-            case fm.Implies(left=a, right=b):
-                instr = (OP_IMP, emit(a), emit(b))
-            case fm.Box(operand=op):
-                instr = (OP_BOX, emit(op), 0)
-            case fm.Diamond(operand=op):
-                instr = (OP_DIA, emit(op), 0)
-            case _:
-                raise TypeError(f"not a formula: {node!r}")
-        slot = len(ops)
-        ops.append(instr)
-        memo[node] = slot
-        return slot
-
-    emit(phi)
     last_use = list(range(len(ops)))
     for pc, (op, a, b) in enumerate(ops):
         if op in (OP_NOT, OP_BOX, OP_DIA):
@@ -68,5 +68,7 @@ def compile_formula(phi: fm.Formula) -> Program:
         elif op in (OP_AND, OP_OR, OP_IMP):
             last_use[a] = pc
             last_use[b] = pc
-    last_use[len(ops) - 1] = len(ops)  # result outlives the program
-    return Program(tuple(ops), variables, tuple(last_use))
+    dies: list[list[int]] = [[] for _ in ops]
+    for slot, pc in enumerate(last_use[:-1]):
+        dies[pc].append(slot)
+    return Program(tuple(ops), variables, tuple(map(tuple, dies)))

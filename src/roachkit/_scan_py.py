@@ -24,13 +24,21 @@ c, so chunk c recomputes only the items of level at most tz(c) and keeps the
 rest.  An item a consumer reads in a chunk where the item itself is not
 recomputed must outlive its chunk: that happens exactly when some consumer
 has a strictly lower level.  Every other item dies at the last use of its
-subformula, as in a single chunk.  The analysis is built once per call, and
-only when the scan spans more than one chunk.
+subformula, as in a single chunk.  The analysis depends on the frame, so it
+is built once per call, and only when the scan spans more than one chunk.
+
+A scan that fits in one chunk computes every item and frees each slot after
+the instruction the program lists it as dying at.  That plan depends on the
+world count alone, not on the frame, so it is built on the first such scan
+of each count and kept in the program's ``plans``, which is freed with the
+program: a query that scans one formula on many frames plans it once per
+world count.  Both kinds of plan run through the same loop.
 """
 
 from __future__ import annotations
 
 from ._program import OP_AND, OP_BOT, OP_BOX, OP_DIA, OP_IMP, OP_NOT, OP_OR, OP_TOP, OP_VAR
+from .frames import worlds_of
 
 _pattern_cache: dict[int, list[int]] = {}
 
@@ -96,6 +104,50 @@ def _levels(ops, members, n_worlds, chunk_log2, high):
     return levels, kept
 
 
+def _one_chunk_plan(program, n_worlds):
+    """Steps of a scan that fits in one chunk: every item at every world,
+    each slot freed after its last use.  They depend on the world count
+    alone, so each count's plan is built once and kept on the program."""
+    steps = program.plans.get(n_worlds)
+    if steps is None:
+        worlds = tuple(range(n_worlds))
+        steps = program.plans[n_worlds] = [
+            (op, pc, a, b, worlds, tuple((s, None) for s in dead))
+            for pc, ((op, a, b), dead) in enumerate(zip(program.ops, program.dies))
+        ]
+    return steps
+
+
+def _chunk_plans(program, members, n_worlds, chunk_log2, high):
+    """plans[t] runs in a chunk whose number has t trailing zeros; chunk 0
+    computes every item, which is plans[high]."""
+    ops = program.ops
+    worlds = tuple(range(n_worlds))
+    levels, kept = _levels(ops, members, n_worlds, chunk_log2, high)
+    # after each instruction, the items of its operands that die there: a
+    # whole slot (None) or the worlds not kept for a later chunk
+    drops = []
+    for dead in program.dies:
+        drop = []
+        for s in dead:
+            gone = tuple(u for u in worlds if not kept[s][u])
+            if len(gone) == n_worlds:
+                drop.append((s, None))
+            elif gone:
+                drop.append((s, gone))
+        drops.append(drop)
+
+    def plan(threshold):
+        steps = []
+        for pc, (op, a, b) in enumerate(ops):
+            todo = tuple(i for i in worlds if levels[pc][i] <= threshold)
+            if todo:
+                steps.append((op, pc, a, b, todo, drops[pc]))
+        return steps
+
+    return [plan(t) for t in range(high + 1)]
+
+
 def find_refuting_index(up, n_worlds, program, chunk_log2=16):
     """Index of the least valuation refuting the program's formula on the
     frame, or -1 when the formula is valid."""
@@ -105,36 +157,12 @@ def find_refuting_index(up, n_worlds, program, chunk_log2=16):
     full = (1 << chunk_bits) - 1
     pats = _patterns(chunk_bits)
     ops = program.ops
-    last_use = program.last_use
-    worlds = tuple(range(n_worlds))
-    members = [tuple(u for u in worlds if (m >> u) & 1) for m in up]
+    members = [worlds_of(m) for m in up]
     high = kn - chunk_log2  # index bits above the chunk
-    levels = kept = None
     if high:
-        levels, kept = _levels(ops, members, n_worlds, chunk_log2, high)
-
-    # after each instruction, the items of its operands that die there: a
-    # whole slot (None) or the worlds not kept for a later chunk
-    drops = [[] for _ in ops]
-    for s, pc in enumerate(last_use[:-1]):  # the result outlives the program
-        gone = worlds if kept is None else tuple(u for u in worlds if not kept[s][u])
-        if len(gone) == n_worlds:
-            drops[pc].append((s, None))
-        elif gone:
-            drops[pc].append((s, gone))
-
-    def plan(threshold):
-        steps = []
-        for pc, (op, a, b) in enumerate(ops):
-            todo = worlds if levels is None else tuple(
-                i for i in worlds if levels[pc][i] <= threshold)
-            if todo:
-                steps.append((op, pc, a, b, todo, drops[pc]))
-        return steps
-
-    # plans[t] runs in a chunk whose number has t trailing zeros; chunk 0
-    # computes every item, which is plans[high]
-    plans = [plan(t) for t in range(high + 1)]
+        plans = _chunk_plans(program, members, n_worlds, chunk_log2, high)
+    else:
+        plans = [_one_chunk_plan(program, n_worlds)]
 
     # every item lies in [0, full], so its complement is ``full ^ x``
     vals = [None] * len(ops)

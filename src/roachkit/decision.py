@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from . import formulas as fm
 from . import morphisms, roach
-from .errors import CeilingExceededError
+from .errors import BudgetExceededError, CeilingExceededError
 from .frames import enumerate_frames
-from .semantics import Model, find_refutation
+from .semantics import Model, extension_mask, find_refutation
 
 DECISION_CEILING = 8
 
@@ -52,17 +52,46 @@ def decide_lr2(phi: fm.Formula, bound: int) -> Verdict:
     p-morphic image of a point-generated subframe of G, so a 2-roach G for
     which ``morphisms.is_permissible(F, G)`` finds no such image is skipped
     unscanned.  When it finds one, G is scanned as any other frame, so the
-    verdict is the one the scan alone would give.
+    verdict is the one the scan alone would give.  Only when G has more
+    valuations than the scan's budget is the countermodel read off the map
+    instead (see ``_refutation_by_map``); any other formula too big to scan
+    raises ``BudgetExceededError``.
     """
     if bound < 1 or bound > DECISION_CEILING:
         raise CeilingExceededError(f"bound must lie in 1..{DECISION_CEILING}")
     config = fm.jankov_frame(phi)
     for size in range(1, bound + 1):
         for frame in enumerate_frames(size, "2-roach", ceiling=DECISION_CEILING):
-            if config is not None and morphisms.is_permissible(config, frame) is None:
-                continue
-            refutation = find_refutation(frame, phi)
+            witness = None
+            if config is not None:
+                witness = morphisms.is_permissible(config, frame)
+                if witness is None:
+                    continue
+            try:
+                refutation = find_refutation(frame, phi)
+            except BudgetExceededError:
+                refutation = None if witness is None else _refutation_by_map(frame, phi, witness)
+                if refutation is None:
+                    raise
             if refutation is not None:
                 valuation, world = refutation
                 return Refuted(Model(frame, valuation), world)
     return NoCountermodelUpTo(bound)
+
+
+def _refutation_by_map(frame, phi, witness):
+    """The countermodel of the frame formula ``phi`` = chi_F that the onto
+    p-morphism of ``witness`` gives, as ``(valuation, least refuted world)``,
+    or None should the re-check find no refuted world.
+
+    p_w holds exactly on the worlds of the generated subframe that the map
+    sends to w.  The clauses of chi_F then hold throughout the subframe, so
+    at its generator the antecedent holds together with p_root.
+    """
+    valuation = {}
+    for x, w in enumerate(witness.morphism.mapping):
+        valuation.setdefault(f"p{w}", set()).add(witness.embedding[x])
+    missing = ((1 << frame.size) - 1) & ~extension_mask(Model(frame, valuation), phi)
+    if not missing:
+        return None
+    return valuation, (missing & -missing).bit_length() - 1

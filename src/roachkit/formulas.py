@@ -105,6 +105,27 @@ def variables(phi: Formula) -> tuple[str, ...]:
     return tuple(sorted(seen))
 
 
+def postorder(phi: Formula) -> list:
+    """The formula's distinct node objects, each after its operands and the
+    left operand's nodes before the right's.  An explicit stack replaces
+    recursion, and nodes are told apart by identity, so neither depth nor a
+    shared subtree costs a deep walk or a hash of the subtree."""
+    order, entered, stack = [], set(), [phi]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # every operand of node[0] is done
+            order.append(node[0])
+        elif id(node) not in entered:
+            entered.add(id(node))
+            stack.append((node,))
+            kind = type(node)
+            if kind is And or kind is Or or kind is Implies:
+                stack += (node.right, node.left)
+            elif kind is Not or kind is Box or kind is Diamond:
+                stack.append(node.operand)
+    return order
+
+
 def modal_depth(phi: Formula) -> int:
     match phi:
         case Var() | Top() | Bot():
@@ -167,9 +188,9 @@ def eliminate_diamonds(phi: Formula) -> Formula:
 # Deepest formula text ``parse`` accepts.  For every node of the syntax tree,
 # its height plus the unary operators, parentheses and implication right
 # operands open around it may not exceed this; deeper text raises
-# FormulaSyntaxError.  Rendering, compiling and evaluating recurse once per
-# tree level and the parser a few frames per level, so this keeps both well
-# inside Python's recursion limit.  The Fine-Jankov formulas of the
+# FormulaSyntaxError.  Rendering recurses once per tree level and the parser
+# a few frames per level, so this keeps both well inside Python's recursion
+# limit; compiling and evaluating walk ``postorder`` and do not recurse.  The Fine-Jankov formulas of the
 # forbidden configurations are at most 12 levels deep, and the depth axiom
 # bd(n) is 4n - 1 levels deep, so it parses back for n <= 25.
 MAX_NESTING = 100

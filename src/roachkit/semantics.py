@@ -54,38 +54,35 @@ class Model:
 def extension_mask(model: Model, phi: fm.Formula) -> int:
     frame = model.frame
     full = (1 << frame.size) - 1
-    memo = {}
-
-    def go(node) -> int:
-        if node in memo:
-            return memo[node]
-        match node:
-            case fm.Var(name=name):
-                result = mask_of(model.valuation.get(name, ()))
-            case fm.Top():
-                result = full
-            case fm.Bot():
-                result = 0
-            case fm.Not(operand=op):
-                result = full & ~go(op)
-            case fm.And(left=a, right=b):
-                result = go(a) & go(b)
-            case fm.Or(left=a, right=b):
-                result = go(a) | go(b)
-            case fm.Implies(left=a, right=b):
-                result = (full & ~go(a)) | go(b)
-            case fm.Box(operand=op):
-                sub = go(op)
-                result = mask_of(w for w in frame.worlds() if frame.up[w] & ~sub == 0)
-            case fm.Diamond(operand=op):
-                sub = go(op)
-                result = mask_of(w for w in frame.worlds() if frame.up[w] & sub)
-            case _:
-                raise TypeError(f"not a formula: {node!r}")
-        memo[node] = result
-        return result
-
-    return go(phi)
+    up = frame.up
+    worlds = range(frame.size)
+    mask = {}  # id of each node visited -> its extension
+    for node in fm.postorder(phi):
+        kind = type(node)
+        if kind is fm.Var:
+            result = mask_of(model.valuation.get(node.name, ()))
+        elif kind is fm.Top:
+            result = full
+        elif kind is fm.Bot:
+            result = 0
+        elif kind is fm.Not:
+            result = full & ~mask[id(node.operand)]
+        elif kind is fm.And:
+            result = mask[id(node.left)] & mask[id(node.right)]
+        elif kind is fm.Or:
+            result = mask[id(node.left)] | mask[id(node.right)]
+        elif kind is fm.Implies:
+            result = (full & ~mask[id(node.left)]) | mask[id(node.right)]
+        elif kind is fm.Box:
+            sub = mask[id(node.operand)]
+            result = mask_of(w for w in worlds if up[w] & ~sub == 0)
+        elif kind is fm.Diamond:
+            sub = mask[id(node.operand)]
+            result = mask_of(w for w in worlds if up[w] & sub)
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+        mask[id(node)] = result
+    return mask[id(phi)]
 
 
 def extension(model: Model, phi: fm.Formula) -> set[int]:

@@ -7,6 +7,7 @@ from functools import lru_cache
 
 import pytest
 
+from roachkit import _program as P
 from roachkit import decision as D
 from roachkit import formulas as fm
 from roachkit import frames as F
@@ -267,6 +268,48 @@ def naive_frame_validates(frame, phi):
         if S.extension_mask(S.Model(frame, valuation), phi) != full:
             return False
     return True
+
+
+def reference_compile_formula(phi):
+    """``compile_formula`` as a recursive walk that shares subformulas by
+    hashing formula nodes: a repeated subtree, equal by value, is emitted
+    once, at its first postorder position."""
+    variables = fm.variables(phi)
+    var_index = {name: i for i, name in enumerate(variables)}
+    ops, memo = [], {}
+    unary = {fm.Not: P.OP_NOT, fm.Box: P.OP_BOX, fm.Diamond: P.OP_DIA}
+    binary = {fm.And: P.OP_AND, fm.Or: P.OP_OR, fm.Implies: P.OP_IMP}
+
+    def emit(node):
+        if node in memo:
+            return memo[node]
+        match node:
+            case fm.Bot():
+                instr = (P.OP_BOT, 0, 0)
+            case fm.Top():
+                instr = (P.OP_TOP, 0, 0)
+            case fm.Var(name=name):
+                instr = (P.OP_VAR, var_index[name], 0)
+            case fm.Not() | fm.Box() | fm.Diamond():
+                instr = (unary[type(node)], emit(node.operand), 0)
+            case fm.And() | fm.Or() | fm.Implies():
+                instr = (binary[type(node)], emit(node.left), emit(node.right))
+            case _:
+                raise TypeError(f"not a formula: {node!r}")
+        memo[node] = len(ops)
+        ops.append(instr)
+        return memo[node]
+
+    emit(phi)
+    last_use = list(range(len(ops)))
+    for pc, (op, a, b) in enumerate(ops):
+        if op in (P.OP_NOT, P.OP_BOX, P.OP_DIA):
+            last_use[a] = pc
+        elif op in (P.OP_AND, P.OP_OR, P.OP_IMP):
+            last_use[a] = last_use[b] = pc
+    dies = tuple(tuple(s for s in range(len(ops) - 1) if last_use[s] == pc)
+                 for pc in range(len(ops)))
+    return P.Program(tuple(ops), variables, dies)
 
 
 def reference_is_2_roach(frame):

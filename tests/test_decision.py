@@ -9,7 +9,7 @@ from roachkit import frames as F
 from roachkit import morphisms as M
 from roachkit import roach as R
 from roachkit import semantics as S
-from roachkit.errors import CeilingExceededError
+from roachkit.errors import BudgetExceededError, CeilingExceededError
 
 
 def test_axioms_shape():
@@ -168,3 +168,40 @@ def test_single_host_check_catches_a_route_that_tries_only_the_root(monkeypatch,
     assert missed
     for f, expected in missed:
         assert f.up == (3, 3) and isinstance(expected, D.Refuted)
+
+
+def test_over_budget_frame_formula_is_refuted_by_its_map():
+    # six variables on six worlds would need 2^36 valuations
+    chain6 = R.builtin("chain", 6)
+    chi = fm.fine_jankov(chain6)
+    verdict = D.decide_lr2(chi, 6)
+    assert isinstance(verdict, D.Refuted)
+    assert F.are_isomorphic(verdict.model.frame, chain6)
+    _assert_refutation_checks(verdict, chi)
+    witness = M.is_permissible(chain6, verdict.model.frame)
+    assert verdict.world == witness.generator
+    assert verdict.model.valuation == {
+        f"p{w}": {witness.embedding[x] for x, v in enumerate(witness.morphism.mapping) if v == w}
+        for w in chain6.worlds()}
+    # any other formula too big to scan still raises: fourteen variables
+    # fit on one world, not on two
+    many = fm.conj([fm.parse(f"p{i} -> p{i}") for i in range(14)])
+    with pytest.raises(BudgetExceededError):
+        D.decide_lr2(many, 2)
+
+
+def test_map_refutations_refute_on_the_frames_the_scan_finds(monkeypatch, small_frames):
+    # with a budget of 2^6 valuations, frame formulas are refuted from the
+    # map on the hosts the scan would refute them on
+    # (the reference scans through S.find_refutation, which is not patched)
+    monkeypatch.setattr(D, "find_refutation", lambda frame, phi: S.find_refutation(frame, phi, 1 << 6))
+    from_map = 0
+    for f in small_frames:
+        chi = fm.fine_jankov(f)
+        verdict, want = D.decide_lr2(chi, 5), reference_scan_decide_lr2(chi, 5)
+        assert type(verdict) is type(want)
+        if isinstance(want, D.Refuted):
+            assert verdict.model.frame == want.model.frame
+            _assert_refutation_checks(verdict, chi)
+            from_map += f.size * verdict.model.frame.size > 6
+    assert from_map == 10, from_map

@@ -327,3 +327,30 @@ def test_chunk_reuse_matches_one_chunk_scan():
         # past the first chunk at every size above, the 32nd at chunk_log2 0
         past_first_chunks += index >= 1 << 5
     assert past_first_chunks >= 10, past_first_chunks
+
+
+def test_one_program_scans_alike_on_every_world_count():
+    # one compiled program per formula, scanned on frames of 1-6 worlds in
+    # interleaved order: a scan that fits one chunk runs the plan the
+    # program keeps for its world count, and a fresh compile has none yet
+    rng = random.Random(12)
+    frames = [f for n in range(1, 7) for f in F.enumerate_frames(n, "rooted")]
+    picked = [f for f in frames if f.size <= 3] + rng.sample([f for f in frames if f.size > 3], 24)
+    texts = ["[]p -> p", "<>[]p -> []<>p", "p -> [](<>p -> q)", "~(<>p & <>~p)",
+             "[]([]p -> q) | []([]q -> p)", "<>(p & q) -> []<>q"]
+    oracle_checked = 0
+    for text in texts:
+        phi = fm.parse(text)
+        program = compile_formula(phi)
+        order = picked[:]
+        rng.shuffle(order)
+        for f in order:
+            index = _scan_py.find_refuting_index(f.up, f.size, program, 16)
+            assert index == _scan_py.find_refuting_index(f.up, f.size, compile_formula(phi), 16)
+            for log2 in (8, 3):
+                assert _scan_py.find_refuting_index(f.up, f.size, program, log2) == index
+            if program.n_vars * f.size <= 8:
+                assert (index < 0) == naive_frame_validates(f, phi)
+                oracle_checked += 1
+        assert sorted(program.plans) == list(range(1, 7))
+    assert oracle_checked == 126, oracle_checked
