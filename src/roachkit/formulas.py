@@ -190,9 +190,10 @@ def eliminate_diamonds(phi: Formula) -> Formula:
 # operands open around it may not exceed this; deeper text raises
 # FormulaSyntaxError.  Rendering recurses once per tree level and the parser
 # a few frames per level, so this keeps both well inside Python's recursion
-# limit; compiling and evaluating walk ``postorder`` and do not recurse.  The Fine-Jankov formulas of the
-# forbidden configurations are at most 12 levels deep, and the depth axiom
-# bd(n) is 4n - 1 levels deep, so it parses back for n <= 25.
+# limit; compiling and evaluating walk ``postorder`` and do not recurse.  The
+# Fine-Jankov formulas of the forbidden configurations are at most 12 levels
+# deep, and the depth axiom bd(n) is 4n - 1 levels deep, so it parses back
+# for n <= 25.
 MAX_NESTING = 100
 
 _VAR_START = "abcdefghijklmnopqrstuvwxyz"

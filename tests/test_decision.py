@@ -194,7 +194,8 @@ def test_map_refutations_refute_on_the_frames_the_scan_finds(monkeypatch, small_
     # with a budget of 2^6 valuations, frame formulas are refuted from the
     # map on the hosts the scan would refute them on
     # (the reference scans through S.find_refutation, which is not patched)
-    monkeypatch.setattr(D, "find_refutation", lambda frame, phi: S.find_refutation(frame, phi, 1 << 6))
+    monkeypatch.setattr(D, "find_refutation",
+                        lambda frame, phi: S.find_refutation(frame, phi, 1 << 6))
     from_map = 0
     for f in small_frames:
         chi = fm.fine_jankov(f)
