@@ -91,18 +91,7 @@ BOT = Bot()
 
 def variables(phi: Formula) -> tuple[str, ...]:
     """Variable names occurring in the formula, sorted."""
-    seen = set()
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            seen.add(node.name)
-        elif isinstance(node, (Not, Box, Diamond)):
-            stack.append(node.operand)
-        elif isinstance(node, (And, Or, Implies)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return tuple(sorted(seen))
+    return tuple(sorted({node.name for node in postorder(phi) if type(node) is Var}))
 
 
 def postorder(phi: Formula) -> list:
