@@ -61,7 +61,7 @@ def cmd_check(args) -> int:
             out["willow_splitting_point"] = willow.certificate.s
         print(json.dumps(out))
         return 0
-    two = R.is_2_roach(frame)
+    two = memberships["R2"]
     print("2-roach" if two else "not a 2-roach")
     classes = [name for name, member in memberships.items() if member]
     print("classes:", ", ".join(classes) if classes else "(none up to R5)")

@@ -1,9 +1,9 @@
 """Unraveling: quasi-trees from rooted frames, willow trees from 2-roaches.
 
 The quasi-tree construction works at cluster level: nodes are cover-paths of
-clusters from the root cluster, and each node carries a copy of its final
-cluster.  A frame that is already a quasi-tree therefore unravels to an
-isomorphic copy.
+clusters from the root cluster, each stored as a link to the path it extends
+and its final cluster, and each node carries a copy of that cluster.  A frame
+that is already a quasi-tree therefore unravels to an isomorphic copy.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .frames import (
     Frame,
     classify_frame,
     clusters_and_skeleton,
+    mask_of,
     subframe,
     worlds_of,
 )
@@ -55,33 +56,28 @@ def unravel_to_quasi_tree(frame: Frame, node_budget: int = DEFAULT_NODE_BUDGET) 
         raise PreconditionError("unraveling needs a rooted frame")
     partition, skeleton, pi = clusters_and_skeleton(frame)
     covers = _cover_masks(skeleton)
-    root_cluster = pi[flags.roots[0]]
 
-    paths: list[tuple[int, ...]] = []
-
-    def grow(path: tuple[int, ...]):
-        if len(paths) >= node_budget:
+    # nodes are (parent node, cluster) in depth-first preorder, so every
+    # node comes before its descendants
+    nodes: list[tuple[int, int]] = []
+    stack = [(-1, pi[flags.roots[0]])]
+    while stack:
+        if len(nodes) >= node_budget:
             raise BudgetExceededError(f"unraveling exceeds the node budget {node_budget}")
-        paths.append(path)
-        for d in worlds_of(covers[path[-1]]):
-            grow(path + (d,))
+        parent, c = stack.pop()
+        stack.extend((len(nodes), d) for d in reversed(worlds_of(covers[c])))
+        nodes.append((parent, c))
 
-    grow((root_cluster,))
-
-    worlds = []  # (path index, original world)
-    for idx, path in enumerate(paths):
-        for w in partition[path[-1]]:
-            worlds.append((idx, w))
-    n = len(worlds)
-    up = [0] * n
-    for i, (pi_idx, _) in enumerate(worlds):
-        p = paths[pi_idx]
-        for j, (qi_idx, _) in enumerate(worlds):
-            q = paths[qi_idx]
-            if len(q) >= len(p) and q[: len(p)] == p:
-                up[i] |= 1 << j
-    tree = Frame(n, tuple(up))
-    pm = verified_morphism(tree, frame, (w for _, w in worlds))
+    mapping: list[int] = []  # tree world -> original world
+    upsets = []  # per node, its cluster copy and every descendant's
+    for _, c in nodes:
+        upsets.append(((1 << len(partition[c])) - 1) << len(mapping))
+        mapping.extend(partition[c])
+    for i in range(len(nodes) - 1, 0, -1):
+        upsets[nodes[i][0]] |= upsets[i]
+    up = [upsets[i] for i, (_, c) in enumerate(nodes) for _ in partition[c]]
+    tree = Frame(len(mapping), tuple(up))
+    pm = verified_morphism(tree, frame, mapping)
     if not classify_frame(tree).quasi_tree:
         raise AssertionError("unraveling did not produce a quasi-tree")
     return UnravelResult(tree, pm)
@@ -114,24 +110,15 @@ def roach_to_willow(frame: Frame, node_budget: int = DEFAULT_NODE_BUDGET) -> Unr
     t = unravelled.tree
     t_map = unravelled.morphism.mapping  # tree world -> body world
 
-    n = t.size + len(antennae)
     ant_pos = {w: t.size + i for i, w in enumerate(antennae)}
-    up = []
-    for x in range(t.size):
-        mask = t.up[x]
-        fx = body_embedding[t_map[x]]
-        for w in antennae:
-            if frame.le(fx, w):
-                mask |= 1 << ant_pos[w]
-        up.append(mask)
-    for w in antennae:
-        mask = 0
-        for v in antennae:
-            if frame.le(w, v):
-                mask |= 1 << ant_pos[v]
-        up.append(mask)
-    willow = Frame(n, tuple(up))
-    mapping = tuple(body_embedding[t_map[x]] for x in range(t.size)) + tuple(antennae)
+
+    def lift(mask: int) -> int:  # antennae in a frame upset -> willow worlds
+        return mask_of(ant_pos[w] for w in worlds_of(mask & frame.up[s]))
+
+    mapping = tuple(body_embedding[t_map[x]] for x in range(t.size)) + antennae
+    up = [t.up[x] | lift(frame.up[mapping[x]]) for x in range(t.size)]
+    up += [lift(frame.up[w]) for w in antennae]
+    willow = Frame(len(mapping), tuple(up))
     pm = verified_morphism(willow, frame, mapping)
     if roach_mod.is_willow_tree(willow) is None:
         raise AssertionError("willow construction did not produce a willow tree")

@@ -1,4 +1,4 @@
-"""Modal formula ASTs, a recursive-descent parser/printer, named axioms,
+"""Modal formula ASTs, a recursive-descent parser, a printer, named axioms,
 and Fine-Jankov formula synthesis.
 
 ASCII grammar: variables ``[a-z][a-zA-Z0-9_]*``; ``~`` not, ``&`` and,
@@ -116,16 +116,22 @@ def postorder(phi: Formula) -> list:
 
 
 def modal_depth(phi: Formula) -> int:
-    match phi:
-        case Var() | Top() | Bot():
-            return 0
-        case Not(operand=op):
-            return modal_depth(op)
-        case Box(operand=op) | Diamond(operand=op):
-            return 1 + modal_depth(op)
-        case And(left=a, right=b) | Or(left=a, right=b) | Implies(left=a, right=b):
-            return max(modal_depth(a), modal_depth(b))
-    raise TypeError(f"not a formula: {phi!r}")
+    """The deepest nesting of boxes and diamonds, folded over ``postorder``."""
+    depth = {}
+    for node in postorder(phi):
+        match node:
+            case Var() | Top() | Bot():
+                d = 0
+            case Not(operand=op):
+                d = depth[id(op)]
+            case Box(operand=op) | Diamond(operand=op):
+                d = 1 + depth[id(op)]
+            case And(left=a, right=b) | Or(left=a, right=b) | Implies(left=a, right=b):
+                d = max(depth[id(a)], depth[id(b)])
+            case _:
+                raise TypeError(f"not a formula: {node!r}")
+        depth[id(node)] = d
+    return depth[id(phi)]
 
 
 def _balanced(op, parts, empty: Formula) -> Formula:
@@ -153,22 +159,20 @@ def disj(parts) -> Formula:
 
 def eliminate_diamonds(phi: Formula) -> Formula:
     """Rewrite every diamond as ~[]~ (explicit normalization; never applied
-    silently by the parser or printer)."""
-    match phi:
-        case Diamond(operand=op):
-            return Not(Box(Not(eliminate_diamonds(op))))
-        case Not(operand=op):
-            return Not(eliminate_diamonds(op))
-        case Box(operand=op):
-            return Box(eliminate_diamonds(op))
-        case And(left=a, right=b):
-            return And(eliminate_diamonds(a), eliminate_diamonds(b))
-        case Or(left=a, right=b):
-            return Or(eliminate_diamonds(a), eliminate_diamonds(b))
-        case Implies(left=a, right=b):
-            return Implies(eliminate_diamonds(a), eliminate_diamonds(b))
-        case _:
-            return phi
+    silently by the parser or printer), folded over ``postorder``."""
+    done = {}
+    for node in postorder(phi):
+        match node:
+            case Diamond(operand=op):
+                new = Not(Box(Not(done[id(op)])))
+            case Not(operand=op) | Box(operand=op):
+                new = type(node)(done[id(op)])
+            case And(left=a, right=b) | Or(left=a, right=b) | Implies(left=a, right=b):
+                new = type(node)(done[id(a)], done[id(b)])
+            case _:
+                new = node
+        done[id(node)] = new
+    return done[id(phi)]
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +181,9 @@ def eliminate_diamonds(phi: Formula) -> Formula:
 # Deepest formula text ``parse`` accepts.  For every node of the syntax tree,
 # its height plus the unary operators, parentheses and implication right
 # operands open around it may not exceed this; deeper text raises
-# FormulaSyntaxError.  Rendering recurses once per tree level and the parser
-# a few frames per level, so this keeps both well inside Python's recursion
-# limit; compiling and evaluating walk ``postorder`` and do not recurse.  The
+# FormulaSyntaxError.  The parser recurses a few frames per level, so this
+# keeps it well inside Python's recursion limit; rendering, compiling and
+# evaluating do not recurse.  The
 # Fine-Jankov formulas of the forbidden configurations are at most 12 levels
 # deep, and the depth axiom bd(n) is 4n - 1 levels deep, so it parses back
 # for n <= 25.
@@ -309,36 +313,41 @@ def parse(text: str) -> Formula:
     return _Parser(text).parse()
 
 
-_PREC = {Implies: 1, Or: 2, And: 3}
+# per binary connective: its symbol, its precedence, and the precedence its
+# left and right operands are printed at; a part printed at a precedence
+# above its own is parenthesized
+_INFIX = {And: (" & ", 3, 3, 4), Or: (" | ", 2, 2, 3), Implies: (" -> ", 1, 2, 1)}
+_PREFIX_TEXT = {cls: token for token, cls in _PREFIX}
 
 
 def render(phi: Formula) -> str:
-    def go(node, context_prec):
-        match node:
-            case Var(name=name):
-                return name
-            case Top():
-                return "T"
-            case Bot():
-                return "F"
-            case Not(operand=op):
-                return "~" + go(op, 4)
-            case Box(operand=op):
-                return "[]" + go(op, 4)
-            case Diamond(operand=op):
-                return "<>" + go(op, 4)
-            case And(left=a, right=b):
-                s = f"{go(a, 3)} & {go(b, 4)}"
-                return f"({s})" if context_prec > 3 else s
-            case Or(left=a, right=b):
-                s = f"{go(a, 2)} | {go(b, 3)}"
-                return f"({s})" if context_prec > 2 else s
-            case Implies(left=a, right=b):
-                s = f"{go(a, 2)} -> {go(b, 1)}"
-                return f"({s})" if context_prec > 1 else s
-        raise TypeError(f"not a formula: {node!r}")
-
-    return go(phi, 0)
+    """Formula text that ``parse`` reads back as ``phi`` (when it nests at
+    most ``MAX_NESTING`` levels).  An explicit stack of pending parts and
+    text replaces recursion, and the text is joined once at the end."""
+    out, stack = [], [(phi, 0)]
+    while stack:
+        part = stack.pop()
+        if type(part) is str:
+            out.append(part)
+            continue
+        node, context = part
+        kind = type(node)
+        if kind is Var:
+            out.append(node.name)
+        elif kind is Top or kind is Bot:
+            out.append("T" if kind is Top else "F")
+        elif kind in _PREFIX_TEXT:
+            out.append(_PREFIX_TEXT[kind])
+            stack.append((node.operand, 4))
+        elif kind in _INFIX:
+            symbol, prec, left, right = _INFIX[kind]
+            wrap = context > prec
+            stack += (")" if wrap else "", (node.right, right), symbol, (node.left, left))
+            if wrap:
+                out.append("(")
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ class Frame:
 
     def pairs(self) -> list[tuple[int, int]]:
         """All related pairs (u, w) with u <= w."""
-        return [(u, w) for u in self.worlds() for w in self.worlds() if self.le(u, w)]
+        return [(u, w) for u in self.worlds() for w in worlds_of(self.up[u])]
 
     def __repr__(self):
         edges = [(u, w) for u, w in self.pairs() if u != w]
@@ -228,14 +228,8 @@ def clusters_and_skeleton(frame: Frame):
             seen[m] = len(partition)
             partition.append(worlds_of(m))
         pi[w] = seen[m]
-    k = len(partition)
-    up = [0] * k
-    for i, members in enumerate(partition):
-        rep = members[0]
-        for j, others in enumerate(partition):
-            if frame.le(rep, others[0]):
-                up[i] |= 1 << j
-    skeleton = Frame(k, tuple(up))
+    up = tuple(mask_of(pi[w] for w in worlds_of(frame.up[members[0]])) for members in partition)
+    skeleton = Frame(len(partition), up)
     return partition, skeleton, tuple(pi)
 
 
@@ -280,16 +274,9 @@ def classify_frame(frame: Frame) -> FrameFlags:
     partial_order = all(cluster_masks(frame)[w] == 1 << w for w in frame.worlds())
     s41 = all(frame.up[w] & max_mask for w in frame.worlds())
     s412 = s41 and len(max_points) == 1
-    quasi_tree = bool(roots)
-    if quasi_tree:
-        for w in frame.worlds():
-            below = worlds_of(down[w])
-            for u, v in itertools.combinations(below, 2):
-                if not (frame.le(u, v) or frame.le(v, u)):
-                    quasi_tree = False
-                    break
-            if not quasi_tree:
-                break
+    # down[w] is a chain when each of its members sees, or is seen by, all of it
+    quasi_tree = bool(roots) and all(
+        not down[w] & ~(frame.up[u] | down[u]) for w in frame.worlds() for u in worlds_of(down[w]))
     return FrameFlags(
         rooted=bool(roots),
         roots=roots,

@@ -3,18 +3,20 @@
 library's answers are checked against independent code paths."""
 
 import itertools
+import random
 from functools import lru_cache
 
 import pytest
 
 from roachkit import _program as P
+from roachkit import construct as C
 from roachkit import decision as D
 from roachkit import formulas as fm
 from roachkit import frames as F
 from roachkit import ordinals as O
 from roachkit import roach as R
 from roachkit import semantics as S
-from roachkit.errors import CeilingExceededError, PreconditionError
+from roachkit.errors import BudgetExceededError, CeilingExceededError, PreconditionError
 from roachkit.frames import (
     Frame,
     canonical_key,
@@ -26,7 +28,7 @@ from roachkit.frames import (
     mask_of,
     worlds_of,
 )
-from roachkit.morphisms import collapse, skeleton_morphism, verified_morphism
+from roachkit.morphisms import collapse, identity_morphism, skeleton_morphism, verified_morphism
 
 
 def naive_preorder_classes(n):
@@ -357,6 +359,131 @@ def reference_is_willow_tree(frame):
         if classify_frame(body).quasi_tree:
             return R.WillowEvidence(R.SplittingCertificate(s, 2, t), worlds_of(body_mask))
     return None
+
+
+def reference_pairs(frame):
+    """``Frame.pairs`` by testing every ordered pair of worlds."""
+    return [(u, w) for u in frame.worlds() for w in frame.worlds() if frame.le(u, w)]
+
+
+def reference_quasi_tree(frame):
+    """The quasi-tree flag: rooted, and any two worlds of a downset are
+    comparable, tested pair by pair."""
+    if not classify_frame(frame).rooted:
+        return False
+    for w in frame.worlds():
+        below = worlds_of(F.down_masks(frame)[w])
+        for u, v in itertools.combinations(below, 2):
+            if not (frame.le(u, v) or frame.le(v, u)):
+                return False
+    return True
+
+
+def reference_clusters_and_skeleton(frame):
+    """``clusters_and_skeleton`` with the skeleton order read off one
+    ``le`` test per pair of cluster representatives."""
+    cmasks = cluster_masks(frame)
+    seen = {}
+    partition = []
+    pi = [0] * frame.size
+    for w in frame.worlds():
+        m = cmasks[w]
+        if m not in seen:
+            seen[m] = len(partition)
+            partition.append(worlds_of(m))
+        pi[w] = seen[m]
+    k = len(partition)
+    up = [0] * k
+    for i, members in enumerate(partition):
+        for j, others in enumerate(partition):
+            if frame.le(members[0], others[0]):
+                up[i] |= 1 << j
+    return partition, Frame(k, tuple(up)), tuple(pi)
+
+
+def reference_unravel_to_quasi_tree(frame, node_budget=C.DEFAULT_NODE_BUDGET):
+    """``unravel_to_quasi_tree`` with each node stored as its whole cover
+    path of clusters, grown by recursion, and a tree world below another
+    exactly when its path extends the other's."""
+    flags = classify_frame(frame)
+    if not flags.rooted:
+        raise PreconditionError("unraveling needs a rooted frame")
+    partition, skeleton, pi = reference_clusters_and_skeleton(frame)
+    covers = C._cover_masks(skeleton)
+    paths = []
+
+    def grow(path):
+        if len(paths) >= node_budget:
+            raise BudgetExceededError(f"unraveling exceeds the node budget {node_budget}")
+        paths.append(path)
+        for d in worlds_of(covers[path[-1]]):
+            grow(path + (d,))
+
+    grow((pi[flags.roots[0]],))
+    worlds = [(idx, w) for idx, path in enumerate(paths) for w in partition[path[-1]]]
+    up = [0] * len(worlds)
+    for i, (p_idx, _) in enumerate(worlds):
+        p = paths[p_idx]
+        for j, (q_idx, _) in enumerate(worlds):
+            q = paths[q_idx]
+            if len(q) >= len(p) and q[: len(p)] == p:
+                up[i] |= 1 << j
+    tree = Frame(len(worlds), tuple(up))
+    return C.UnravelResult(tree, verified_morphism(tree, frame, (w for _, w in worlds)))
+
+
+def reference_roach_to_willow(frame, node_budget=C.DEFAULT_NODE_BUDGET):
+    """``roach_to_willow`` over ``reference_unravel_to_quasi_tree``, with
+    the antennae grafted by one ``le`` test per tree world and antenna."""
+    cert = R.is_2_roach(frame)
+    if cert is None:
+        raise PreconditionError("input is not a 2-roach")
+    if R.is_willow_tree(frame) is not None:
+        return C.UnravelResult(frame, identity_morphism(frame))
+    flags = classify_frame(frame)
+    s = flags.max_points[0] if flags.s412 else cert.s
+    antennae = worlds_of(frame.up[s])
+    body, body_embedding = F.subframe(frame, worlds_of(((1 << frame.size) - 1) & ~frame.up[s]))
+    unravelled = reference_unravel_to_quasi_tree(body, node_budget=node_budget)
+    t = unravelled.tree
+    t_map = unravelled.morphism.mapping
+    ant_pos = {w: t.size + i for i, w in enumerate(antennae)}
+    up = []
+    for x in range(t.size):
+        mask = t.up[x]
+        for w in antennae:
+            if frame.le(body_embedding[t_map[x]], w):
+                mask |= 1 << ant_pos[w]
+        up.append(mask)
+    for w in antennae:
+        up.append(sum(1 << ant_pos[v] for v in antennae if frame.le(w, v)))
+    willow = Frame(t.size + len(antennae), tuple(up))
+    mapping = tuple(body_embedding[t_map[x]] for x in range(t.size)) + tuple(antennae)
+    return C.UnravelResult(willow, verified_morphism(willow, frame, mapping))
+
+
+def random_frames(seed, count, max_worlds, rooted=False):
+    """Seeded random frames of 1..max_worlds worlds.  Unrooted ones close
+    random edges, so cycles give clusters.  Rooted ones put world 0 below a
+    random order on the others in which each world has one or two earlier
+    parents and may see its first parent back, which gives trees, quasi-trees
+    with clusters and frames with incomparable predecessors."""
+    rng = random.Random(seed)
+    frames = []
+    for _ in range(count):
+        n = rng.randint(1, max_worlds)
+        if rooted:
+            edges = [(0, w) for w in range(1, n)]
+            for w in range(2, n):
+                parents = rng.sample(range(1, w), min(w - 1, rng.choice((1, 2))))
+                edges += [(parent, w) for parent in parents]
+                if rng.random() < 0.1:
+                    edges.append((w, parents[0]))
+        else:
+            p = rng.choice((0.1, 0.2, 0.35))
+            edges = [(u, w) for u in range(n) for w in range(n) if rng.random() < p]
+        frames.append(F.normalize_frame(edges, n))
+    return frames
 
 
 def _reference_pullback_witness(frame: Frame, chain, final_world_map, which: str,

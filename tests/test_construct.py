@@ -1,12 +1,15 @@
+import sys
+
 import pytest
 
+from conftest import random_frames, reference_roach_to_willow, reference_unravel_to_quasi_tree
 from roachkit import construct as C
 from roachkit import formulas as fm
 from roachkit import frames as F
 from roachkit import morphisms as M
 from roachkit import roach as R
 from roachkit import semantics as S
-from roachkit.errors import BudgetExceededError, PreconditionError
+from roachkit.errors import BudgetExceededError, PreconditionError, RoachkitError
 
 
 def test_unravel_tree_is_fixed_point():
@@ -47,6 +50,51 @@ def test_unravel_poset_gives_tree():
             if F.classify_frame(f).partial_order:
                 assert flags.tree
             assert M.check_p_morphism(result.morphism, require_onto=True) is None
+
+
+def _outcome(construction, frame, budget):
+    try:
+        result = construction(frame, node_budget=budget)
+    except RoachkitError as exc:
+        return type(exc), str(exc)
+    return result.tree, result.morphism.mapping
+
+
+BUDGETS = (1, 3, 6, C.DEFAULT_NODE_BUDGET)
+
+
+def test_unravel_and_willow_match_path_references():
+    rooted = [f for n in range(1, 7) for f in F.enumerate_frames(n, "rooted")]
+    rooted += random_frames(13, 300, 12, rooted=True)
+    outcomes = []
+    for f in rooted + list(R.two_roach_classes(7)):
+        for budget in BUDGETS:
+            got = _outcome(C.unravel_to_quasi_tree, f, budget)
+            assert got == _outcome(reference_unravel_to_quasi_tree, f, budget)
+            outcomes.append(got[0])
+            got = _outcome(C.roach_to_willow, f, budget)
+            assert got == _outcome(reference_roach_to_willow, f, budget)
+            outcomes.append(got[0])
+    # of 6,480 outcomes: budget errors, frames that are not 2-roaches, and
+    # trees larger than 8 worlds
+    assert outcomes.count(BudgetExceededError) > 1500
+    assert outcomes.count(PreconditionError) > 1000
+    assert sum(isinstance(x, F.Frame) and x.size > 8 for x in outcomes) > 300
+
+
+def test_unravel_does_not_recurse():
+    chain = F.normalize_frame([(w, w + 1) for w in range(399)], 400)
+    depth, caller = 0, sys._getframe()
+    while caller is not None:
+        depth, caller = depth + 1, caller.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        result = C.unravel_to_quasi_tree(chain)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.tree == chain
+    assert result.morphism.mapping == tuple(range(400))
 
 
 def test_unravel_needs_rooted():

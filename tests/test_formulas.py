@@ -294,3 +294,25 @@ def test_jankov_frame_does_not_recurse_on_deep_formulas():
         body = fm.And(body, fm.Var("p0"))
     p0 = fm.Var("p0")
     assert fm.jankov_frame(fm.Implies(fm.And(p0, fm.Box(body)), fm.Not(p0))) is None
+
+
+@pytest.mark.parametrize("cls, text", [(fm.Not, "~"), (fm.Box, "[]"), (fm.Diamond, "<>")])
+def test_walks_do_not_recurse_on_deep_unary_chains(cls, text):
+    deep = fm.P
+    for _ in range(5000):
+        deep = cls(deep)
+    modal = 0 if cls is fm.Not else 5000
+    assert fm.render(deep) == text * 5000 + "p"
+    assert fm.modal_depth(deep) == modal
+    plain = fm.eliminate_diamonds(deep)
+    assert fm.render(plain) == ("~[]~" if cls is fm.Diamond else text) * 5000 + "p"
+    assert fm.modal_depth(plain) == modal
+
+
+def test_render_does_not_recurse_on_deep_binary_chains():
+    left = right = fm.P
+    for _ in range(5000):
+        left, right = fm.And(left, fm.P), fm.Implies(fm.P, right)
+    assert fm.render(left) == " & ".join(["p"] * 5001)
+    assert fm.render(right) == " -> ".join(["p"] * 5001)
+    assert fm.render(fm.Box(fm.Or(right, left))) == f"[](({fm.render(right)}) | {fm.render(left)})"

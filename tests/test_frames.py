@@ -5,7 +5,15 @@ import weakref
 
 import pytest
 
-from conftest import naive_canonical_key, naive_depths, naive_preorder_classes
+from conftest import (
+    naive_canonical_key,
+    naive_depths,
+    naive_preorder_classes,
+    random_frames,
+    reference_clusters_and_skeleton,
+    reference_pairs,
+    reference_quasi_tree,
+)
 from roachkit import formulas as fm
 from roachkit import frames as F
 from roachkit.errors import CeilingExceededError, FrameFormatError
@@ -141,6 +149,22 @@ def test_order_views_match_definitions(n):
             sum(1 << u for u in worlds if f.le(u, w)) for w in worlds)
         assert F.cluster_masks(f) == tuple(
             sum(1 << v for v in worlds if f.le(w, v) and f.le(v, w)) for w in worlds)
+
+
+def test_order_queries_match_pairwise_references():
+    classes = [f for n in range(1, 7) for f in F.enumerate_frames(n)]
+    randoms = random_frames(11, 300, 12) + random_frames(12, 300, 12, rooted=True)
+    for f in classes + randoms:
+        assert F.classify_frame(f).quasi_tree == reference_quasi_tree(f)
+        assert F.clusters_and_skeleton(f) == reference_clusters_and_skeleton(f)
+        assert f.pairs() == reference_pairs(f)
+    # the random frames reach past 6 worlds, have clusters, and hold
+    # quasi-trees with and without clusters as well as rooted non-quasi-trees
+    flags = [F.classify_frame(f) for f in randoms if f.size > 6]
+    assert sum(not x.partial_order for x in flags) > 150
+    assert sum(x.quasi_tree and x.partial_order for x in flags) > 25
+    assert sum(x.quasi_tree and not x.partial_order for x in flags) > 80
+    assert sum(x.rooted and not x.quasi_tree for x in flags) > 40
 
 
 def test_derived_values_are_freed_with_their_frame():
