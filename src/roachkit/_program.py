@@ -9,8 +9,7 @@ lists the slots that die after it, so the scanner can free their values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._record import field, record
 from . import formulas as fm
 
 OP_BOT, OP_TOP, OP_VAR, OP_NOT, OP_AND, OP_OR, OP_IMP, OP_BOX, OP_DIA = range(9)
@@ -20,7 +19,7 @@ _BINARY = {fm.And: OP_AND, fm.Or: OP_OR, fm.Implies: OP_IMP}
 _CONSTANT = {fm.Bot: (OP_BOT, 0, 0), fm.Top: (OP_TOP, 0, 0)}
 
 
-@dataclass(frozen=True)
+@record
 class Program:
     ops: tuple[tuple[int, int, int], ...]
     variables: tuple[str, ...]

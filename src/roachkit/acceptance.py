@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
+from ._record import record
 from . import construct, decision, formulas as fm, morphisms as M, ordinals as O, roach as R
 from . import frames as F
 from . import semantics as S
 
 
-@dataclass
+@record(frozen=False)
 class CriterionResult:
     name: str
     passed: bool

@@ -13,7 +13,7 @@ import os
 import re
 import sys
 
-from . import acceptance, construct, decision, formulas as fm, morphisms as M
+from . import construct, decision, formulas as fm, morphisms as M
 from . import frames as F
 from . import ordinals as O
 from . import roach as R
@@ -238,6 +238,9 @@ def cmd_ordinal_logic_of(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    # imported here: no other command needs the acceptance suite
+    from . import acceptance
+
     results = acceptance.run(only=args.only)
     if args.only and not results:
         names = ", ".join(name for name, _ in acceptance.CRITERIA)

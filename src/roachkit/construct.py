@@ -8,8 +8,7 @@ that is already a quasi-tree therefore unravels to an isomorphic copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import BudgetExceededError, PreconditionError
 from .frames import (
     MAX_FRAME_WORLDS,
@@ -26,7 +25,7 @@ from . import roach as roach_mod
 DEFAULT_NODE_BUDGET = MAX_FRAME_WORLDS
 
 
-@dataclass(frozen=True)
+@record
 class UnravelResult:
     tree: Frame
     morphism: PMorphism  # onto the input frame

@@ -9,8 +9,7 @@ size bound is known, so a clean search up to the bound is reported as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from . import formulas as fm
 from . import morphisms, roach
 from .errors import BudgetExceededError, CeilingExceededError
@@ -20,13 +19,13 @@ from .semantics import Model, extension_mask, find_refutation
 DECISION_CEILING = 8
 
 
-@dataclass(frozen=True)
+@record
 class Refuted:
     model: Model
     world: int
 
 
-@dataclass(frozen=True)
+@record
 class NoCountermodelUpTo:
     bound: int
 

@@ -10,8 +10,7 @@ Formula text may nest at most ``MAX_NESTING`` levels deep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import FormulaSyntaxError, FrameFormatError, PreconditionError
 from .frames import Frame, classify_frame
 
@@ -37,50 +36,50 @@ class Formula:
         return render(self)
 
 
-@dataclass(frozen=True)
+@record
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@record
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Box(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Diamond(Formula):
     operand: Formula
 

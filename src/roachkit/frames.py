@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 
+from ._record import record
 from .errors import CeilingExceededError, FrameFormatError
 
 ENUMERATION_CEILING = 6
@@ -27,7 +27,7 @@ MAX_FRAME_WORLDS = 4096
 FILTER_NAMES = ("all", "rooted", "s41-rooted", "2-roach", "willow")
 
 
-@dataclass(frozen=True)
+@record
 class Frame:
     """A finite reflexive-transitive frame.
 
@@ -250,7 +250,7 @@ def frame_depth(frame: Frame) -> int:
     return max(depth_vector(frame))
 
 
-@dataclass(frozen=True)
+@record
 class FrameFlags:
     rooted: bool
     roots: tuple[int, ...]
@@ -568,16 +568,6 @@ def _filter_predicate(name: str):
         return lambda f: classify_frame(f).rooted
     if name == "s41-rooted":
         return lambda f: classify_frame(f).rooted and classify_frame(f).s41
-    if name == "2-roach":
-        # enumeration generates these classes directly; the filter stays as
-        # the reference the generator is tested against
-        from . import roach
-
-        def is_roach(f):
-            flags = classify_frame(f)
-            return flags.rooted and flags.s41 and roach.is_2_roach(f) is not None
-
-        return is_roach
     if name == "willow":
         from . import roach
 

@@ -3,8 +3,7 @@ collapses of upsets and same-successor antichains."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import CollapseError, PreconditionError
 from .frames import (
     Frame,
@@ -22,7 +21,7 @@ from .frames import (
 SEARCH_CEILING = 10
 
 
-@dataclass(frozen=True)
+@record
 class PMorphism:
     source: Frame
     target: Frame
@@ -32,7 +31,7 @@ class PMorphism:
         return self.mapping[w]
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """A failed p-morphism condition, naming the offending worlds."""
 
@@ -80,12 +79,6 @@ def verified_morphism(source: Frame, target: Frame, mapping) -> PMorphism:
     if violation is not None:
         raise AssertionError(f"constructed map failed verification: {violation}")
     return pm
-
-
-def compose(first: PMorphism, second: PMorphism) -> PMorphism:
-    if first.target.size != second.source.size:
-        raise PreconditionError("composition needs matching frames")
-    return PMorphism(first.source, second.target, tuple(second.mapping[v] for v in first.mapping))
 
 
 def identity_morphism(frame: Frame) -> PMorphism:
@@ -180,7 +173,7 @@ def find_onto_p_morphism(source: Frame, target: Frame) -> PMorphism | None:
     return None
 
 
-@dataclass(frozen=True)
+@record
 class Permissibility:
     """Evidence that a configuration is permissible for a host frame: an
     onto p-morphism from the point-generated subframe at ``generator``."""

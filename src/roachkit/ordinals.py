@@ -10,9 +10,9 @@ natural may have at most ``MAX_NAT_DIGITS`` digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
 
+from ._record import record
 from .errors import FormulaSyntaxError, PreconditionError
 from .formulas import MAX_NESTING
 
@@ -23,7 +23,7 @@ MAX_NAT_DIGITS = 1000
 
 
 @total_ordering
-@dataclass(frozen=True)
+@record
 class Ordinal:
     """Cantor normal form: a sum of ``w^exponent * coefficient`` terms with
     strictly decreasing exponents; the empty sum is zero."""
@@ -237,7 +237,7 @@ def render_ordinal(gamma: Ordinal) -> str:
 # logic classification
 
 
-@dataclass(frozen=True)
+@record
 class LogicId:
     """A point in the lattice of logics this library talks about.
 

@@ -18,8 +18,8 @@ are the same, because each quotient orders its blocks by least member.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import PreconditionError
 from .frames import (
     Frame,
@@ -79,7 +79,7 @@ def builtin(name: str, n: int | None = None) -> Frame:
     raise PreconditionError(f"unknown builtin frame {name!r}")
 
 
-@dataclass(frozen=True)
+@record
 class SplittingCertificate:
     """Evidence that a frame is an n-roach: the splitting point ``s``, the
     depth bound, and for each world the point generating its upset's meet
@@ -90,7 +90,7 @@ class SplittingCertificate:
     t: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ForbiddenWitness:
     which: str
     generator: int
@@ -271,7 +271,7 @@ def unique_splitting_point(frame: Frame) -> int:
     return cert.s
 
 
-@dataclass(frozen=True)
+@record
 class WillowEvidence:
     certificate: SplittingCertificate
     body: tuple[int, ...]

@@ -13,8 +13,8 @@ build step and no compiler.
 from __future__ import annotations
 
 from collections.abc import Collection
-from dataclasses import dataclass, field
 
+from ._record import field, record
 from . import formulas as fm
 from ._program import compile_formula
 from . import _scan_py
@@ -32,7 +32,7 @@ def _scan(up, n_worlds, program, _unused=None):
     return _scan_py.find_refuting_index(up, n_worlds, program)
 
 
-@dataclass(frozen=True)
+@record
 class Model:
     frame: Frame
     valuation: dict = field(default_factory=dict)

@@ -688,16 +688,23 @@ def relabel(frame, perm):
     return Frame(frame.size, tuple(up))
 
 
+def reference_2_roach_filter(frame):
+    """The ``2-roach`` enumeration filter as a predicate on any frame.  The
+    enumeration generates these classes from their pieces and is tested
+    against this filter over the ``all`` classes."""
+    flags = classify_frame(frame)
+    return flags.rooted and flags.s41 and R.is_2_roach(frame) is not None
+
+
 def reference_decide_lr2(phi, bound):
     """``decide_lr2``'s search over the 2-roach classes filtered from every
     preorder class.  The generated enumeration has the same classes in the
     same order, so the verdicts agree in kind, size and refuting class; for
     frames of five or more worlds the representatives, and with them the
     refuting valuations, may be labelled differently."""
-    is_roach = F._filter_predicate("2-roach")
     for size in range(1, bound + 1):
         for frame in F.enumerate_frames(size, "all"):
-            if is_roach(frame):
+            if reference_2_roach_filter(frame):
                 refutation = S.find_refutation(frame, phi)
                 if refutation is not None:
                     valuation, world = refutation

@@ -168,6 +168,11 @@ def test_find_matches_reference_on_shuffled_large_frames():
     assert 0 < found < 3 * 48
 
 
+def compose(first, second):
+    """The map that applies ``first``, then ``second``."""
+    return M.PMorphism(first.source, second.target, tuple(second.mapping[v] for v in first.mapping))
+
+
 def test_composition_of_verified_morphisms_verifies():
     big = [f for f in F.enumerate_frames(4, "rooted")]
     mids = [f for n in (2, 3) for f in F.enumerate_frames(n, "rooted")]
@@ -182,7 +187,7 @@ def test_composition_of_verified_morphisms_verifies():
                 second = M.find_onto_p_morphism(b, c)
                 if second is None:
                     continue
-                both = M.compose(first, second)
+                both = compose(first, second)
                 assert M.check_p_morphism(both, require_onto=True) is None
                 composed += 1
     assert composed > 20

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from conftest import (
+    reference_2_roach_filter,
     reference_expand,
     reference_is_2_roach,
     reference_is_willow_tree,
@@ -199,8 +200,7 @@ def test_willow_trees_are_2_roaches():
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 1), (3, 3), (4, 7), (5, 19), (6, 64), (7, 255)])
 def test_generated_2_roaches_are_the_filtered_classes(n, expected):
-    is_roach = F._filter_predicate("2-roach")
-    filtered = [f for f in F.enumerate_frames(n, "all", ceiling=7) if is_roach(f)]
+    filtered = [f for f in F.enumerate_frames(n, "all", ceiling=7) if reference_2_roach_filter(f)]
     generated = list(F.enumerate_frames(n, "2-roach", ceiling=7))
     assert [F.canonical_key(f) for f in generated] == [F.canonical_key(f) for f in filtered]
     assert len(generated) == expected
