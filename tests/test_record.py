@@ -50,10 +50,6 @@ def _samples():
     ]
 
 
-def _fields(obj):
-    return type(obj).__match_args__
-
-
 def test_every_record_class_has_a_sample():
     records = {cls for module in vars(roachkit).values() if isinstance(module, type(roachkit))
                for cls in vars(module).values()
@@ -64,7 +60,8 @@ def test_every_record_class_has_a_sample():
 
 @pytest.mark.parametrize("obj", _samples(), ids=lambda obj: type(obj).__name__)
 def test_record_semantics(obj):
-    cls, names = type(obj), _fields(obj)
+    cls = type(obj)
+    names = cls.__match_args__
     values = tuple(getattr(obj, name) for name in names)
     compared = tuple(getattr(obj, name) for name in names if name != "plans")
     # equal copies from positional and from keyword arguments
