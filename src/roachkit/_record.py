@@ -3,8 +3,7 @@
 ``@record`` gives a class whose body annotates its fields an ``__init__``,
 ``__eq__``, ``__hash__``, ``__repr__`` and ``__match_args__`` that behave as
 ``dataclasses.dataclass(frozen=True)`` would make them, and assigning to or
-deleting an attribute raises ``FrozenInstanceError``.  ``@record(frozen=False)``
-leaves attributes assignable and the class unhashable, as a plain dataclass.
+deleting an attribute raises ``AttributeError``.
 
 The methods are closures over the field names.  ``dataclasses`` instead
 writes each method as source text and runs ``exec`` on it, which costs about
@@ -19,10 +18,6 @@ from operator import attrgetter
 
 _MISSING = object()
 _setattr = object.__setattr__
-
-
-class FrozenInstanceError(AttributeError):
-    """Raised on assignment to, or deletion of, an attribute of a frozen record."""
 
 
 class _Field:
@@ -41,63 +36,11 @@ def field(*, default_factory, compare: bool = True, repr: bool = True):
     return _Field(default_factory, compare, repr)
 
 
-def record(cls=None, *, frozen: bool = True):
-    """Class decorator: ``@record`` or ``@record(frozen=False)``."""
-    if cls is None:
-        return lambda cls: _build(cls, frozen)
-    return _build(cls, frozen)
-
-
-def _storer(names):
-    """``store(obj, values)`` sets each field of a new instance from a full
-    tuple of values.  It sets them through ``object.__setattr__``, as the
-    frozen ``__setattr__`` forbids it, and never touches ``obj.__dict__``:
-    that would make the interpreter build the instance's dict, which makes
-    every later attribute read slower and the instance about half again as
-    big.  Up to three fields are set without a loop."""
-    if len(names) == 1:
-        (a,) = names
-
-        def store(obj, values):
-            (x,) = values
-            _setattr(obj, a, x)
-    elif len(names) == 2:
-        a, b = names
-
-        def store(obj, values):
-            x, y = values
-            _setattr(obj, a, x)
-            _setattr(obj, b, y)
-    elif len(names) == 3:
-        a, b, c = names
-
-        def store(obj, values):
-            x, y, z = values
-            _setattr(obj, a, x)
-            _setattr(obj, b, y)
-            _setattr(obj, c, z)
-    else:
-        def store(obj, values):
-            for name, value in zip(names, values):
-                _setattr(obj, name, value)
-    return store
-
-
 def _binder(qualname, names, defaults):
-    """``bind(args, kwargs)``: the full tuple of field values of a call that
+    """``bind(args, kwargs)``: the full list of field values of a call that
     does not pass every field positionally, with the defaults filled in."""
-    # per count of positional arguments, the plain defaults of all the fields
-    # after them, so that a call such as ``Frame(size, up)`` takes one step
-    tails, tail = {len(names): ()}, ()
-    for k in range(len(names) - 1, -1, -1):
-        if names[k] not in defaults or type(defaults[names[k]]) is _Field:
-            break
-        tail = (defaults[names[k]],) + tail
-        tails[k] = tail
 
     def bind(args, kwargs):
-        if not kwargs and len(args) in tails:
-            return args + tails[len(args)]
         if len(args) > len(names):
             raise TypeError(
                 f"{qualname}() takes {len(names)} positional arguments but {len(args)} were given"
@@ -119,36 +62,8 @@ def _binder(qualname, names, defaults):
     return bind
 
 
-def _equality(names):
-    """``__eq__`` and ``__hash__`` over the tuple of the named fields' values:
-    equal only to an instance of the very same class, and hashed as that
-    tuple.  A single field is read straight into its 1-tuple, without a
-    key function between."""
-    if len(names) == 1:
-        get = attrgetter(*names)
-
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return (get(self),) == (get(other),)
-            return NotImplemented
-
-        def __hash__(self):
-            return hash((get(self),))
-    else:
-        key = attrgetter(*names) if names else lambda self: ()
-
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return key(self) == key(other)
-            return NotImplemented
-
-        def __hash__(self):
-            return hash(key(self))
-
-    return __eq__, __hash__
-
-
-def _build(cls, frozen):
+def record(cls):
+    """Class decorator: make ``cls`` a record over its annotated fields."""
     body = cls.__dict__
     names = tuple(body.get("__annotations__", ()))
     defaults = {}
@@ -164,40 +79,55 @@ def _build(cls, frozen):
     compared = tuple(n for n in names if type(defaults.get(n)) is not _Field or defaults[n].compare)
     shown = tuple(n for n in names if type(defaults.get(n)) is not _Field or defaults[n].repr)
 
-    store = _storer(names)
     bind = _binder(cls.__qualname__, names, defaults)
     arity = len(names)
     post_init = getattr(cls, "__post_init__", None)
-    if post_init is None:
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != arity:
-                args = bind(args, kwargs)
-            store(self, args)
-    else:
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != arity:
-                args = bind(args, kwargs)
-            store(self, args)
+
+    # Fields are set through ``object.__setattr__``, as the frozen
+    # ``__setattr__`` forbids it, and never through ``self.__dict__``: that
+    # would make the interpreter build the instance's dict, which makes every
+    # later attribute read slower and the instance about half again as big.
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != arity:
+            args = bind(args, kwargs)
+        for name, value in zip(names, args):
+            _setattr(self, name, value)
+        if post_init is not None:
             self.__post_init__()
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
         return f"{self.__class__.__qualname__}({fields})"
 
-    __eq__, __hash__ = _equality(compared)
+    # equal only to an instance of the very same class, and hashed as the
+    # tuple of the compared fields' values
+    if len(compared) == 1:
+        get = attrgetter(*compared)
+        key = lambda self: (get(self),)
+    else:
+        key = attrgetter(*compared) if compared else lambda self: ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
     methods = {"__init__": __init__, "__repr__": __repr__, "__eq__": __eq__,
-               "__hash__": __hash__ if frozen else None, "__match_args__": names}
-    if frozen:
-        def __setattr__(self, name, value):
-            raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-        def __delattr__(self, name):
-            raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-        methods.update(__setattr__=__setattr__, __delattr__=__delattr__)
+               "__hash__": __hash__, "__setattr__": __setattr__,
+               "__delattr__": __delattr__}
     for name, method in methods.items():
         if name not in body:
-            if callable(method):
-                method.__qualname__ = f"{cls.__qualname__}.{name}"
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
             setattr(cls, name, method)
+    if "__match_args__" not in body:
+        cls.__match_args__ = names
     return cls

@@ -16,7 +16,7 @@ from . import frames as F
 from . import semantics as S
 
 
-@record(frozen=False)
+@record
 class CriterionResult:
     name: str
     passed: bool

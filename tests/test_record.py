@@ -73,10 +73,6 @@ def test_record_semantics(obj):
         if type(other) is not cls:
             assert obj != other and not obj == other
     assert obj.__eq__(object()) is NotImplemented
-    if cls is A.CriterionResult:
-        obj.passed = False
-        assert obj.passed is False and cls.__hash__ is None
-        return
     try:
         expected = hash(compared)
     except TypeError:  # a Model's valuation is a dict
