@@ -24,7 +24,6 @@ from .frames import (  # noqa: F401
 from .morphisms import (  # noqa: F401
     PMorphism,
     check_p_morphism,
-    collapse,
     find_onto_p_morphism,
     is_permissible,
 )

@@ -27,7 +27,3 @@ class BudgetExceededError(RoachkitError, RuntimeError):
 
 class CeilingExceededError(RoachkitError, ValueError):
     """Requested enumeration size is above the configured ceiling."""
-
-
-class CollapseError(RoachkitError, ValueError):
-    """A quotient block is neither an upset nor a mergeable antichain."""

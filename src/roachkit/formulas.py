@@ -471,27 +471,3 @@ def jankov_frame(phi: Formula) -> Frame | None:
     if not classify_frame(frame).rooted:
         return None
     return frame if fine_jankov(frame) == phi else None
-
-
-def is_generator(frame: Frame, seed) -> bool:
-    """Whether closing a seed set under Booleans and downward closure yields
-    every subset of the frame."""
-    from .frames import downset_mask, mask_of
-
-    full = (1 << frame.size) - 1
-    family = {mask_of(seed) & full, 0, full}
-    changed = True
-    while changed:
-        changed = False
-        current = list(family)
-        for m in current:
-            for derived in (full & ~m, downset_mask(frame, m)):
-                if derived not in family:
-                    family.add(derived)
-                    changed = True
-        for a in current:
-            for b in current:
-                if a & b not in family:
-                    family.add(a & b)
-                    changed = True
-    return len(family) == 1 << frame.size

@@ -52,13 +52,7 @@ class Frame:
             if not (mask >> w) & 1:
                 raise FrameFormatError(f"relation is not reflexive at world {w}")
         for w, mask in enumerate(self.up):
-            closure = mask
-            rest = mask
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                closure |= self.up[v]
-            if closure != mask:
+            if _union(self.up, mask) != mask:
                 raise FrameFormatError(f"relation is not transitive at world {w}")
         if self.labels is not None and len(self.labels) != self.size:
             raise FrameFormatError("label count does not match size")
@@ -124,11 +118,13 @@ def _order_data(up: tuple[int, ...]):
     (as world lists), its down mask, its cluster mask and its depth, the
     longest strictly ascending chain of clusters from it.
 
-    Not memoized: the world lists take about 1 KB per frame, and most
-    frames it sees (enumeration candidates in ``canonical_key``, subframes
-    and configurations in ``morphisms.find_onto_p_morphism``) are looked at
-    once.  The views kept on the frame are ``down_masks``, ``cluster_masks``
-    and ``depth_vector``.
+    The three mask views, ``down_masks``, ``cluster_masks`` and
+    ``depth_vector``, are kept on the frame by ``_order_views``, so they
+    cost one pass per frame between them.  The world lists are not kept:
+    they take about 1 KB per frame, and most frames that need them
+    (enumeration candidates in ``canonical_key``, subframes and
+    configurations in ``morphisms.find_onto_p_morphism``) are looked at
+    once.
     """
     n = len(up)
     succ = [worlds_of(mask) for mask in up]
@@ -151,8 +147,14 @@ def _order_data(up: tuple[int, ...]):
 
 
 @_per_frame
+def _order_views(frame: Frame) -> tuple[tuple[int, ...], ...]:
+    """``(down_masks, cluster_masks, depth_vector)`` from one order pass."""
+    _, _, down, cluster, depth = _order_data(frame.up)
+    return tuple(down), tuple(cluster), tuple(depth)
+
+
 def down_masks(frame: Frame) -> tuple[int, ...]:
-    return tuple(_order_data(frame.up)[2])
+    return _order_views(frame)[0]
 
 
 def mask_of(worlds) -> int:
@@ -162,34 +164,34 @@ def mask_of(worlds) -> int:
     return m
 
 
+# the worlds of each byte value, ascending
+_BYTE_WORLDS = tuple(tuple(w for w in range(8) if (b >> w) & 1) for b in range(256))
+
+
 def worlds_of(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        w = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        out.append(w)
-    return tuple(out)
+    """The worlds in ``mask``, ascending, read a byte at a time."""
+    if not mask >> 8:
+        return _BYTE_WORLDS[mask]
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    rest = data.lstrip(b"\0")  # the low zero bytes hold no world
+    return tuple([8 * i + w for i, byte in enumerate(rest, len(data) - len(rest)) if byte
+                  for w in _BYTE_WORLDS[byte]])
+
+
+def _union(masks, seed_mask: int) -> int:
+    """The union of ``masks[w]`` over the worlds ``w`` in ``seed_mask``."""
+    acc = 0
+    for w in worlds_of(seed_mask):
+        acc |= masks[w]
+    return acc
 
 
 def upset_mask(frame: Frame, seed_mask: int) -> int:
-    acc = 0
-    mask = seed_mask
-    while mask:
-        w = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        acc |= frame.up[w]
-    return acc
+    return _union(frame.up, seed_mask)
 
 
 def downset_mask(frame: Frame, seed_mask: int) -> int:
-    down = down_masks(frame)
-    acc = 0
-    mask = seed_mask
-    while mask:
-        w = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        acc |= down[w]
-    return acc
+    return _union(down_masks(frame), seed_mask)
 
 
 def order_query(frame: Frame, seed, direction: str) -> set[int]:
@@ -205,10 +207,9 @@ def order_query(frame: Frame, seed, direction: str) -> set[int]:
     raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
 
 
-@_per_frame
 def cluster_masks(frame: Frame) -> tuple[int, ...]:
     """Per-world bitmask of its cluster (mutual-reachability class)."""
-    return tuple(_order_data(frame.up)[3])
+    return _order_views(frame)[1]
 
 
 def clusters_and_skeleton(frame: Frame):
@@ -233,10 +234,9 @@ def clusters_and_skeleton(frame: Frame):
     return partition, skeleton, tuple(pi)
 
 
-@_per_frame
 def depth_vector(frame: Frame) -> tuple[int, ...]:
     """Depth of each world: longest strictly ascending chain of clusters."""
-    return tuple(_order_data(frame.up)[4])
+    return _order_views(frame)[2]
 
 
 def depth(frame: Frame, w: int) -> int:
@@ -298,17 +298,11 @@ def subframe(frame: Frame, worlds) -> tuple[Frame, tuple[int, ...]]:
     embedding = tuple(sorted(set(worlds)))
     if not embedding:
         raise FrameFormatError("cannot take an empty subframe")
+    for w in (embedding[0], embedding[-1]):
+        if not 0 <= w < frame.size:
+            raise FrameFormatError(f"world {w} out of range")
     pos = {old: new for new, old in enumerate(embedding)}
-    up = []
-    for old in embedding:
-        mask = 0
-        rest = frame.up[old]
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if v in pos:
-                mask |= 1 << pos[v]
-        up.append(mask)
+    up = [mask_of(pos[v] for v in worlds_of(frame.up[old]) if v in pos) for old in embedding]
     labels = tuple(frame.label(old) for old in embedding) if frame.labels else None
     return Frame(len(embedding), tuple(up), labels), embedding
 

@@ -1,21 +1,10 @@
-"""p-morphism verification and search, permissibility testing, and quotient
-collapses of upsets and same-successor antichains."""
+"""p-morphism verification and search, and permissibility testing."""
 
 from __future__ import annotations
 
 from ._record import record
-from .errors import CollapseError, PreconditionError
-from .frames import (
-    Frame,
-    _order_data,
-    classify_frame,
-    cluster_masks,
-    clusters_and_skeleton,
-    generated_subframe,
-    mask_of,
-    upset_mask,
-    worlds_of,
-)
+from .errors import PreconditionError
+from .frames import Frame, _order_data, classify_frame, generated_subframe, mask_of, worlds_of
 
 # the onto-p-morphism search refuses larger source and target frames
 SEARCH_CEILING = 10
@@ -140,10 +129,7 @@ def find_onto_p_morphism(source: Frame, target: Frame) -> PMorphism | None:
 
     def back_ok(w: int) -> bool:
         image = 0
-        rest = up_s[w]
-        while rest:
-            u = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+        for u in succ_s[w]:
             image |= 1 << assignment[u]
         return not (up_t[assignment[w]] & ~image)
 
@@ -197,75 +183,3 @@ def is_permissible(config: Frame, host: Frame) -> Permissibility | None:
         if pm is not None:
             return Permissibility(g, embedding, pm)
     return None
-
-
-def _block_modes(frame: Frame, block_mask: int) -> bool:
-    """Whether a block is collapsible: an upset, or singleton-cluster worlds
-    sharing one strict upset."""
-    if upset_mask(frame, block_mask) == block_mask:
-        return True
-    worlds = worlds_of(block_mask)
-    cmasks = cluster_masks(frame)
-    strict = None
-    for w in worlds:
-        if cmasks[w] != 1 << w:
-            return False
-        s = frame.up[w] & ~(1 << w)
-        if strict is None:
-            strict = s
-        elif s != strict:
-            return False
-    return True
-
-
-def collapse(frame: Frame, blocks) -> tuple[Frame, PMorphism]:
-    """Quotient identifying each block to a point; unlisted worlds stay
-    singletons.  Blocks must be pairwise disjoint and each one an upset or a
-    same-strict-upset set of singleton-cluster worlds."""
-    blocks = [mask_of(b) for b in blocks]
-    seen = 0
-    for i, mask in enumerate(blocks):
-        if mask == 0:
-            raise CollapseError(f"block {i} is empty")
-        if mask & seen:
-            raise CollapseError(f"block {i} overlaps an earlier block")
-        if mask & ~((1 << frame.size) - 1):
-            raise CollapseError(f"block {i} mentions out-of-range worlds")
-        seen |= mask
-        if not _block_modes(frame, mask):
-            raise CollapseError(
-                f"block {i} ({sorted(worlds_of(mask))}) is neither an upset nor a "
-                "same-successor antichain of singleton clusters"
-            )
-    all_blocks = list(blocks)
-    for w in frame.worlds():
-        if not (seen >> w) & 1:
-            all_blocks.append(1 << w)
-    all_blocks.sort(key=lambda m: (m & -m).bit_length())
-    mapping = [0] * frame.size
-    for idx, mask in enumerate(all_blocks):
-        for w in worlds_of(mask):
-            mapping[w] = idx
-    k = len(all_blocks)
-    up = [0] * k
-    for u in frame.worlds():
-        rest = frame.up[u]
-        while rest:
-            w = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            up[mapping[u]] |= 1 << mapping[w]
-    try:
-        quotient = Frame(k, tuple(up))
-    except Exception as exc:
-        raise CollapseError(f"blocks do not induce a preorder quotient: {exc}") from None
-    pm = PMorphism(frame, quotient, tuple(mapping))
-    violation = check_p_morphism(pm, require_onto=True)
-    if violation is not None:
-        raise CollapseError(f"blocks do not yield a p-morphic quotient: {violation}")
-    return quotient, pm
-
-
-def skeleton_morphism(frame: Frame) -> PMorphism:
-    """The cluster-collapse map onto the skeleton, as a verified morphism."""
-    _, skel, pi = clusters_and_skeleton(frame)
-    return verified_morphism(frame, skel, pi)

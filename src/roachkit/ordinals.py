@@ -104,13 +104,6 @@ def omega_power(exp: Ordinal, coeff: int = 1) -> Ordinal:
 OMEGA = omega_power(ONE)
 
 
-def cnf_compare(a: Ordinal, b: Ordinal) -> int:
-    """Total order on normal forms: -1, 0, or 1."""
-    if a < b:
-        return -1
-    return 0 if a == b else 1
-
-
 def tear_off(gamma: Ordinal) -> tuple[Ordinal, Ordinal]:
     """Split a non-compact ordinal as (gamma' + 1) + w^alpha1 by removing one
     copy of the least occurring power; errors on zero or compact input."""

@@ -116,14 +116,7 @@ def _splitting_t_map(frame: Frame, s: int) -> tuple[int, ...] | None:
     t = []
     for w in frame.worlds():
         meet = frame.up[w] & up_s
-        found = None
-        rest = meet
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if frame.up[v] == meet:
-                found = v
-                break
+        found = next((v for v in worlds_of(meet) if frame.up[v] == meet), None)
         if found is None:
             return None
         t.append(found)

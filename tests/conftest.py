@@ -16,19 +16,21 @@ from roachkit import frames as F
 from roachkit import ordinals as O
 from roachkit import roach as R
 from roachkit import semantics as S
-from roachkit.errors import BudgetExceededError, CeilingExceededError, PreconditionError
+from roachkit.errors import BudgetExceededError, CeilingExceededError, PreconditionError, RoachkitError
 from roachkit.frames import (
     Frame,
     canonical_key,
     classify_frame,
     cluster_masks,
+    clusters_and_skeleton,
     depth_vector,
     downset_mask,
     generated_subframe,
     mask_of,
+    upset_mask,
     worlds_of,
 )
-from roachkit.morphisms import collapse, identity_morphism, skeleton_morphism, verified_morphism
+from roachkit.morphisms import PMorphism, check_p_morphism, identity_morphism, verified_morphism
 
 
 def naive_preorder_classes(n):
@@ -484,6 +486,90 @@ def random_frames(seed, count, max_worlds, rooted=False):
             edges = [(u, w) for u in range(n) for w in range(n) if rng.random() < p]
         frames.append(F.normalize_frame(edges, n))
     return frames
+
+
+def reference_worlds_of(mask):
+    """``worlds_of`` by peeling the lowest set bit off one at a time."""
+    out = []
+    while mask:
+        w = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        out.append(w)
+    return tuple(out)
+
+
+class CollapseError(RoachkitError, ValueError):
+    """A quotient block is neither an upset nor a mergeable antichain."""
+
+
+def _block_modes(frame: Frame, block_mask: int) -> bool:
+    """Whether a block is collapsible: an upset, or singleton-cluster worlds
+    sharing one strict upset."""
+    if upset_mask(frame, block_mask) == block_mask:
+        return True
+    worlds = worlds_of(block_mask)
+    cmasks = cluster_masks(frame)
+    strict = None
+    for w in worlds:
+        if cmasks[w] != 1 << w:
+            return False
+        s = frame.up[w] & ~(1 << w)
+        if strict is None:
+            strict = s
+        elif s != strict:
+            return False
+    return True
+
+
+def collapse(frame: Frame, blocks) -> tuple[Frame, PMorphism]:
+    """Quotient identifying each block to a point; unlisted worlds stay
+    singletons.  Blocks must be pairwise disjoint and each one an upset or a
+    same-strict-upset set of singleton-cluster worlds.  The quotient chain
+    of ``reference_minimal_forbidden_witness`` is built from these."""
+    blocks = [mask_of(b) for b in blocks]
+    seen = 0
+    for i, mask in enumerate(blocks):
+        if mask == 0:
+            raise CollapseError(f"block {i} is empty")
+        if mask & seen:
+            raise CollapseError(f"block {i} overlaps an earlier block")
+        if mask & ~((1 << frame.size) - 1):
+            raise CollapseError(f"block {i} mentions out-of-range worlds")
+        seen |= mask
+        if not _block_modes(frame, mask):
+            raise CollapseError(
+                f"block {i} ({sorted(worlds_of(mask))}) is neither an upset nor a "
+                "same-successor antichain of singleton clusters"
+            )
+    all_blocks = list(blocks)
+    for w in frame.worlds():
+        if not (seen >> w) & 1:
+            all_blocks.append(1 << w)
+    all_blocks.sort(key=lambda m: (m & -m).bit_length())
+    mapping = [0] * frame.size
+    for idx, mask in enumerate(all_blocks):
+        for w in worlds_of(mask):
+            mapping[w] = idx
+    k = len(all_blocks)
+    up = [0] * k
+    for u in frame.worlds():
+        for w in worlds_of(frame.up[u]):
+            up[mapping[u]] |= 1 << mapping[w]
+    try:
+        quotient = Frame(k, tuple(up))
+    except Exception as exc:
+        raise CollapseError(f"blocks do not induce a preorder quotient: {exc}") from None
+    pm = PMorphism(frame, quotient, tuple(mapping))
+    violation = check_p_morphism(pm, require_onto=True)
+    if violation is not None:
+        raise CollapseError(f"blocks do not yield a p-morphic quotient: {violation}")
+    return quotient, pm
+
+
+def skeleton_morphism(frame: Frame) -> PMorphism:
+    """The cluster-collapse map onto the skeleton, as a verified morphism."""
+    _, skel, pi = clusters_and_skeleton(frame)
+    return verified_morphism(frame, skel, pi)
 
 
 def _reference_pullback_witness(frame: Frame, chain, final_world_map, which: str,

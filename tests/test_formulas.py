@@ -184,14 +184,6 @@ def test_fine_jankov_variable_count():
     assert fm.variables(fm.fine_jankov(f)) == tuple(f"p{w}" for w in range(5))
 
 
-def test_one_generated_forbidden_frames():
-    assert fm.is_generator(builtin("F1"), {2})          # {m1}
-    assert fm.is_generator(builtin("F2"), {2, 0})       # {m1, r1}
-    assert fm.is_generator(builtin("F3"), {3, 1, 0})    # {m1, v1, r}
-    # the empty seed only generates the trivial algebra
-    assert not fm.is_generator(builtin("F1"), set())
-
-
 def _chi_parts(phi):
     """The root variable and the clause list of a Fine-Jankov formula."""
     clauses, stack = [], [phi.left.right.operand]

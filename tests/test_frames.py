@@ -14,6 +14,7 @@ from conftest import (
     reference_clusters_and_skeleton,
     reference_pairs,
     reference_quasi_tree,
+    reference_worlds_of,
 )
 from roachkit import formulas as fm
 from roachkit import frames as F
@@ -179,6 +180,39 @@ def test_derived_values_are_freed_with_their_frame():
     assert ref() is None
 
 
+def test_worlds_of_matches_bit_peeling():
+    for mask in range(1 << 12):
+        assert F.worlds_of(mask) == reference_worlds_of(mask)
+    rng = random.Random(4096)
+    masks = []
+    for _ in range(300):
+        bits = rng.randint(9, 4096)
+        masks.append(rng.getrandbits(bits) | 1 << (bits - 1))
+        # whole zero bytes between members, and members only at the top
+        masks.append(sum(1 << w for w in rng.sample(range(bits), rng.randint(1, 12))))
+        masks.append(rng.getrandbits(rng.randint(1, 16)) << (bits - 1))
+        masks.append(((1 << rng.randint(1, 64)) - 1) << rng.randrange(bits))
+    assert any(b"\0" in m.to_bytes((m.bit_length() + 7) // 8, "little") for m in masks)
+    for mask in masks:
+        assert F.worlds_of(mask) == reference_worlds_of(mask)
+
+
+def test_order_views_share_one_pass(monkeypatch):
+    order_data = F._order_data
+    calls = []
+
+    def counted(up):
+        calls.append(up)
+        return order_data(up)
+
+    monkeypatch.setattr(F, "_order_data", counted)
+    f = F.normalize_frame([(0, 1), (1, 0), (0, 2), (2, 3), (2, 4)], 5)
+    for view in (F.down_masks, F.cluster_masks, F.depth_vector, F.classify_frame):
+        view(f)
+        view(f)
+    assert calls == [f.up]
+
+
 def test_expand_with_unit_clusters_is_the_poset_itself():
     for k in range(1, 6):
         for p in F._posets(k):
@@ -246,6 +280,13 @@ def test_generated_subframe_at_root_is_whole():
     f = builtin("F2")
     sub, _ = F.generated_subframe(f, 0)
     assert F.are_isomorphic(sub, f)
+
+
+def test_subframe_rejects_out_of_range_worlds():
+    f1 = builtin("F1")
+    for worlds, bad in (([-1], -1), ([4], 4), ([0, 2, 4], 4), ([-3, 1], -3)):
+        with pytest.raises(FrameFormatError, match=f"world {bad} out of range"):
+            F.subframe(f1, worlds)
 
 
 def test_generated_subframe_embedding_preserves_order():

