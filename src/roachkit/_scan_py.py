@@ -172,32 +172,9 @@ def find_refuting_index(up, n_worlds, program, chunk_log2=16):
             vec = vals[pc]
             if vec is None:
                 vec = vals[pc] = [0] * n_worlds
-            if op == OP_VAR:
-                for i in todo:
-                    t = a * n_worlds + i
-                    if t < chunk_log2:
-                        vec[i] = pats[t]
-                    else:
-                        vec[i] = full if (base >> t) & 1 else 0
-            elif op == OP_TOP:
-                for i in todo:
-                    vec[i] = full
-            elif op == OP_BOT:
-                for i in todo:
-                    vec[i] = 0
-            elif op == OP_NOT:
-                x = vals[a]
-                for i in todo:
-                    vec[i] = full ^ x[i]
-            elif op == OP_AND:
-                x, y = vals[a], vals[b]
-                for i in todo:
-                    vec[i] = x[i] & y[i]
-            elif op == OP_OR:
-                x, y = vals[a], vals[b]
-                for i in todo:
-                    vec[i] = x[i] | y[i]
-            elif op == OP_IMP:
+            # the most executed first, in the order of their counts over
+            # the decide benchmark's scans (the constants come last)
+            if op == OP_IMP:
                 x, y = vals[a], vals[b]
                 for i in todo:
                     vec[i] = (full ^ x[i]) | y[i]
@@ -208,13 +185,38 @@ def find_refuting_index(up, n_worlds, program, chunk_log2=16):
                     for u in members[i]:
                         acc &= x[u]
                     vec[i] = acc
-            else:  # OP_DIA
+            elif op == OP_DIA:
                 x = vals[a]
                 for i in todo:
                     acc = 0
                     for u in members[i]:
                         acc |= x[u]
                     vec[i] = acc
+            elif op == OP_VAR:
+                for i in todo:
+                    t = a * n_worlds + i
+                    if t < chunk_log2:
+                        vec[i] = pats[t]
+                    else:
+                        vec[i] = full if (base >> t) & 1 else 0
+            elif op == OP_OR:
+                x, y = vals[a], vals[b]
+                for i in todo:
+                    vec[i] = x[i] | y[i]
+            elif op == OP_AND:
+                x, y = vals[a], vals[b]
+                for i in todo:
+                    vec[i] = x[i] & y[i]
+            elif op == OP_NOT:
+                x = vals[a]
+                for i in todo:
+                    vec[i] = full ^ x[i]
+            elif op == OP_TOP:
+                for i in todo:
+                    vec[i] = full
+            else:  # OP_BOT
+                for i in todo:
+                    vec[i] = 0
             for s, gone in drop:
                 if gone is None:
                     vals[s] = None

@@ -75,6 +75,16 @@ class Frame:
         return f"Frame(size={self.size}, edges={edges})"
 
 
+def _closed_frame(size: int, up: tuple[int, ...]) -> Frame:
+    """A frame built without ``Frame``'s check, for the enumeration's
+    candidates, whose upsets are reflexive and transitive by construction.
+    Frames from outside the library always go through ``Frame(...)``."""
+    frame = object.__new__(Frame)
+    for name, value in (("size", size), ("up", up), ("labels", None)):
+        object.__setattr__(frame, name, value)
+    return frame
+
+
 def _closure(up: list[int]) -> tuple[int, ...]:
     """Transitive closure in one Warshall pass: after step ``k``, every
     upset that holds world ``k`` holds ``k``'s upset too."""
@@ -114,26 +124,26 @@ def _per_frame(fn):
 
 
 def _order_data(up: tuple[int, ...]):
-    """One pass over the upsets: per world, its successors and predecessors
-    (as world lists), its down mask, its cluster mask and its depth, the
-    longest strictly ascending chain of clusters from it.
+    """One pass over the upsets: per world, its successors (as a world
+    list), its down mask, its cluster mask and its depth, the longest
+    strictly ascending chain of clusters from it.
 
     The three mask views, ``down_masks``, ``cluster_masks`` and
     ``depth_vector``, are kept on the frame by ``_order_views``, so they
-    cost one pass per frame between them.  The world lists are not kept:
-    they take about 1 KB per frame, and most frames that need them
+    cost one pass per frame between them.  The successor lists are not
+    kept: they take about 1 KB per frame, and most frames that need them
     (enumeration candidates in ``canonical_key``, subframes and
     configurations in ``morphisms.find_onto_p_morphism``) are looked at
-    once.
+    once.  A caller that needs predecessor lists reads them off the down
+    masks with ``worlds_of``.
     """
     n = len(up)
     succ = [worlds_of(mask) for mask in up]
-    pred = [[] for _ in range(n)]
     down = [0] * n
     for u in range(n):
+        bit = 1 << u
         for w in succ[u]:
-            down[w] |= 1 << u
-            pred[w].append(u)
+            down[w] |= bit
     cluster = [up[w] & down[w] for w in range(n)]
     # a strict successor has a smaller upset, so it is finished first
     depth = [0] * n
@@ -143,13 +153,13 @@ def _order_data(up: tuple[int, ...]):
             if not (cluster[w] >> v) & 1 and depth[v] > best:
                 best = depth[v]
         depth[w] = best + 1
-    return succ, pred, down, cluster, depth
+    return succ, down, cluster, depth
 
 
 @_per_frame
 def _order_views(frame: Frame) -> tuple[tuple[int, ...], ...]:
     """``(down_masks, cluster_masks, depth_vector)`` from one order pass."""
-    _, _, down, cluster, depth = _order_data(frame.up)
+    _, down, cluster, depth = _order_data(frame.up)
     return tuple(down), tuple(cluster), tuple(depth)
 
 
@@ -301,10 +311,15 @@ def subframe(frame: Frame, worlds) -> tuple[Frame, tuple[int, ...]]:
     for w in (embedding[0], embedding[-1]):
         if not 0 <= w < frame.size:
             raise FrameFormatError(f"world {w} out of range")
-    pos = {old: new for new, old in enumerate(embedding)}
-    up = [mask_of(pos[v] for v in worlds_of(frame.up[old]) if v in pos) for old in embedding]
+    m = len(embedding)
+    if embedding[-1] == m - 1:  # the initial run 0..m-1 keeps every index
+        inside = (1 << m) - 1
+        up = [mask & inside for mask in frame.up[:m]]
+    else:
+        pos = {old: new for new, old in enumerate(embedding)}
+        up = [mask_of(pos[v] for v in worlds_of(frame.up[old]) if v in pos) for old in embedding]
     labels = tuple(frame.label(old) for old in embedding) if frame.labels else None
-    return Frame(len(embedding), tuple(up), labels), embedding
+    return Frame(m, tuple(up), labels), embedding
 
 
 def generated_subframe(frame: Frame, w: int) -> tuple[Frame, tuple[int, ...]]:
@@ -344,52 +359,78 @@ def canonical_key(frame: Frame):
     Twins, two worlds of a group with the same up and down sets outside the
     pair (cluster mates, same-neighbour antichains), are never permuted among
     themselves: swapping them is an automorphism and leaves every encoding
-    unchanged.  Symmetry that is not twin symmetry is still tried
-    exhaustively, so the cost can grow factorially on such frames.
+    unchanged.  For the same reason twins get equal ranks in every
+    refinement round, and a round keeps the order of the ranks it refines.
+    So when every group of the first invariant is a single twin class no
+    round can split one, and both are skipped; otherwise refinement stops
+    once a round leaves the class count unchanged, as every later round
+    would too.  When every group is a single twin class there is one
+    relabeling, and it is encoded directly.  Symmetry that is not twin
+    symmetry is still tried exhaustively, so the cost can grow factorially
+    on such frames.
     """
     n = frame.size
     up = frame.up
-    succ, pred, down, cluster, depth = _order_data(up)
-    rank = _ranks([(depth[w], len(succ[w]), len(pred[w]), cluster[w].bit_count()) for w in range(n)])
-    for _ in range(2):
-        at = rank.__getitem__
-        rank = _ranks([(rank[w], tuple(sorted(map(at, succ[w]))), tuple(sorted(map(at, pred[w]))))
-                       for w in range(n)])
+    succ, down, cluster, depth = _order_data(up)
+    b = n + 1  # every part of the first invariant lies in 0..n
+    rank = _ranks([((depth[w] * b + len(succ[w])) * b + down[w].bit_count()) * b
+                   + cluster[w].bit_count() for w in range(n)])
+    # twins share this key: cluster mates, and incomparable worlds with
+    # equal upsets and downsets once each drops itself; a world strictly
+    # below another never shares it, as its upset without itself does not
+    # drop the other
+    twin = [(up[w] ^ c, down[w] ^ c, c if c & (c - 1) else 0) for w, c in enumerate(cluster)]
+    twin_count = len(set(twin))
     count = max(rank) + 1
+    if count != twin_count:
+        pred = [worlds_of(mask) for mask in down]
+        for _ in range(2):
+            at = rank.__getitem__
+            rank = _ranks([(rank[w], tuple(sorted(map(at, succ[w]))), tuple(sorted(map(at, pred[w]))))
+                           for w in range(n)])
+            before, count = count, max(rank) + 1
+            if count in (before, n):
+                break
     groups = [[] for _ in range(count)]
     for w in range(n):
         groups[rank[w]].append(w)
-    # a group holds no strictly comparable pair (depth is part of the
-    # invariant), so its twins are cluster mates, or incomparable worlds
-    # with equal upsets and downsets once each drops itself
     perm = [0] * n
     choices = []
     offset = 0
     for group in groups:
-        twins = {}
-        for w in group:
-            c = cluster[w]
-            twins.setdefault((up[w] ^ c, down[w] ^ c, c if c & (c - 1) else 0), []).append(w)
         slots = range(offset, offset + len(group))
         offset += len(group)
-        if len(twins) == 1:
-            for w, slot in zip(group, slots):
-                perm[w] = slot
-        else:
-            choices.append(list(_twin_placements(list(twins.values()), list(slots))))
+        for w, slot in zip(group, slots):
+            perm[w] = slot
+        if count != twin_count:
+            twins = {}
+            for w in group:
+                twins.setdefault(twin[w], []).append(w)
+            if len(twins) > 1:
+                choices.append(list(_twin_placements(list(twins.values()), list(slots))))
+    if not choices:
+        return (n, _encode(succ, perm))
     best = None
     for placements in itertools.product(*choices):
         for placed in placements:
             for w, slot in placed:
                 perm[w] = slot
-        enc = 0
-        for u in range(n):
-            row = perm[u] * n
-            for w in succ[u]:
-                enc |= 1 << (row + perm[w])
+        enc = _encode(succ, perm)
         if best is None or enc < best:
             best = enc
     return (n, best)
+
+
+def _encode(succ, perm) -> int:
+    """The relation encoding under ``perm``: bit ``perm[u] * n + perm[w]``
+    for each ``u <= w``."""
+    n = len(perm)
+    enc = 0
+    for u, ws in enumerate(succ):
+        row = perm[u] * n
+        for w in ws:
+            enc |= 1 << (row + perm[w])
+    return enc
 
 
 def automorphisms(frame: Frame) -> list[tuple[int, ...]]:
@@ -404,8 +445,8 @@ def automorphisms(frame: Frame) -> list[tuple[int, ...]]:
     """
     n = frame.size
     up = frame.up
-    succ, pred, down, _, depth = _order_data(up)
-    signature = [(depth[w], len(succ[w]), len(pred[w])) for w in range(n)]
+    succ, down, _, depth = _order_data(up)
+    signature = [(depth[w], len(succ[w]), down[w].bit_count()) for w in range(n)]
     targets = [[v for v in range(n) if signature[v] == signature[w]] for w in range(n)]
     found = []
     g = [0] * n
@@ -441,7 +482,7 @@ def _extend_poset(frame: Frame, downset_mask_: int) -> Frame:
     n = frame.size
     up = [frame.up[w] | ((1 << n) if (downset_mask_ >> w) & 1 else 0) for w in range(n)]
     up.append(1 << n)
-    return Frame(n + 1, tuple(up))
+    return _closed_frame(n + 1, tuple(up))
 
 
 def _downsets(frame: Frame) -> list[int]:
@@ -536,7 +577,7 @@ def _expand(poset: Frame, sizes: tuple[int, ...]) -> Frame:
     up = []
     for mask, s in zip(poset.up, sizes):
         up.extend([sum(map(blocks.__getitem__, worlds_of(mask)))] * s)
-    return Frame(total, tuple(up))
+    return _closed_frame(total, tuple(up))
 
 
 @lru_cache(maxsize=None)

@@ -102,8 +102,8 @@ def find_onto_p_morphism(source: Frame, target: Frame) -> PMorphism | None:
     if n < m:
         return None
     up_s, up_t = source.up, target.up
-    succ_s, pred_s, _, cluster_s, depth_s = _order_data(up_s)
-    _, _, down_t, cluster_t, depth_t = _order_data(up_t)
+    succ_s, down_s, cluster_s, depth_s = _order_data(up_s)
+    _, down_t, cluster_t, depth_t = _order_data(up_t)
     clusters_s, clusters_t = _cluster_counts(up_s, cluster_s), _cluster_counts(up_t, cluster_t)
     full_s, full_t = (1 << n) - 1, (1 << m) - 1
     sizes_t = [mask.bit_count() for mask in up_t]
@@ -118,7 +118,7 @@ def find_onto_p_morphism(source: Frame, target: Frame) -> PMorphism | None:
             return None
     # forth: f(pos) lies above f(u) for each earlier u below pos, and below
     # f(u) for each earlier u above pos
-    below = [[u for u in pred_s[w] if u < w] for w in range(n)]
+    below = [worlds_of(down_s[w] & ((1 << w) - 1)) for w in range(n)]
     above = [[u for u in succ_s[w] if u < w] for w in range(n)]
     # worlds are assigned in index order, so the upset of w is fully assigned
     # exactly after its highest member's step; back checks run there

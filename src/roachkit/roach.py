@@ -23,6 +23,7 @@ from ._record import record
 from .errors import PreconditionError
 from .frames import (
     Frame,
+    _closed_frame,
     _preorder_classes,
     canonical_key,
     classify_frame,
@@ -207,7 +208,7 @@ def _rooted_classes(m: int) -> list[Frame]:
 def _one_maximum(n: int):
     top = 1 << (n - 1)
     for body in _rooted_classes(n - 1):
-        yield Frame(n, tuple(mask | top for mask in body.up) + (top,))
+        yield _closed_frame(n, tuple(mask | top for mask in body.up) + (top,))
 
 
 def _several_maxima(n: int):
@@ -250,7 +251,7 @@ def _with_tails(body: Frame, tails: tuple[tuple[int, ...], ...]):
             continue
         for w in range(b):
             up[w] = body.up[w] | (1 << s) | maxima | seen[w]
-        yield Frame(n, tuple(up))
+        yield _closed_frame(n, tuple(up))
 
 
 def unique_splitting_point(frame: Frame) -> int:

@@ -99,13 +99,16 @@ def _decode_valuation(index: int, variables, n_worlds: int) -> dict:
     return valuation
 
 
-# (formula, compiler, program) of the latest find_refutation call.  A query
-# such as decide_lr2 scans one formula on many frames, so this one entry
-# saves recompiling it per frame.  Formulas are frozen, and the strong
-# reference keeps the cached formula's id from being reused; keying on the
-# compiler as well picks up a replaced ``compile_formula``.  The entry is one
-# tuple so that a thread never reads a formula with another's program.
-_last_compiled = (None, None, None)
+# The programs of the latest few formulas that find_refutation compiled,
+# keyed by formula identity and compiler, the oldest evicted first.  A query
+# such as decide_lr2 scans one formula on many frames, and a census cycles
+# through a handful, so a few entries save recompiling per frame.  Formulas
+# are frozen, and each entry keeps a strong reference to its formula, so its
+# id is not reused while the entry lives; keying on the compiler as well
+# picks up a replaced ``compile_formula``.  The bound keeps a long run from
+# holding every program it compiled.
+_PROGRAM_CACHE_SIZE = 8
+_programs: dict = {}
 
 
 def find_refutation(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET):
@@ -116,11 +119,13 @@ def find_refutation(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET)
     formula on a frame by the morphism search first and scans only frames
     that refute it.
     """
-    global _last_compiled
-    cached_phi, cached_compiler, program = _last_compiled
-    if phi is not cached_phi or compile_formula is not cached_compiler:
-        program = compile_formula(phi)
-        _last_compiled = (phi, compile_formula, program)
+    key = (id(phi), compile_formula)
+    entry = _programs.get(key)
+    if entry is None:
+        if len(_programs) >= _PROGRAM_CACHE_SIZE:
+            _programs.pop(next(iter(_programs)), None)
+        entry = _programs[key] = (phi, compile_formula(phi))
+    program = entry[1]
     total = 1 << (program.n_vars * frame.size)
     if total > budget:
         raise BudgetExceededError(

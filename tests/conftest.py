@@ -188,6 +188,56 @@ def naive_canonical_key(frame):
     return (n, best)
 
 
+def reference_canonical_key(frame):
+    """``canonical_key`` as it was before its fast path: both refinement
+    rounds always run, and every key goes through the placement product.
+    Same definition, same value."""
+    n = frame.size
+    up = frame.up
+    succ = [worlds_of(mask) for mask in up]
+    down = F.down_masks(frame)
+    pred = [worlds_of(mask) for mask in down]
+    cluster = F.cluster_masks(frame)
+    depth = depth_vector(frame)
+    rank = F._ranks([(depth[w], len(succ[w]), len(pred[w]), cluster[w].bit_count()) for w in range(n)])
+    for _ in range(2):
+        at = rank.__getitem__
+        rank = F._ranks([(rank[w], tuple(sorted(map(at, succ[w]))), tuple(sorted(map(at, pred[w]))))
+                         for w in range(n)])
+    count = max(rank) + 1
+    groups = [[] for _ in range(count)]
+    for w in range(n):
+        groups[rank[w]].append(w)
+    perm = [0] * n
+    choices = []
+    offset = 0
+    for group in groups:
+        twins = {}
+        for w in group:
+            c = cluster[w]
+            twins.setdefault((up[w] ^ c, down[w] ^ c, c if c & (c - 1) else 0), []).append(w)
+        slots = range(offset, offset + len(group))
+        offset += len(group)
+        if len(twins) == 1:
+            for w, slot in zip(group, slots):
+                perm[w] = slot
+        else:
+            choices.append(list(F._twin_placements(list(twins.values()), list(slots))))
+    best = None
+    for placements in itertools.product(*choices):
+        for placed in placements:
+            for w, slot in placed:
+                perm[w] = slot
+        enc = 0
+        for u in range(n):
+            row = perm[u] * n
+            for w in succ[u]:
+                enc |= 1 << (row + perm[w])
+        if best is None or enc < best:
+            best = enc
+    return (n, best)
+
+
 def naive_onto_p_morphisms(source, target):
     """All onto p-morphisms, by filtering every possible map."""
     found = []

@@ -4,13 +4,22 @@ stability of the enumeration, and cost on twin-heavy frames."""
 import hashlib
 import itertools
 import json
+import math
 import random
 import time
 
 import pytest
 
-from conftest import naive_canonical_key, reference_posets, reference_preorder_classes, relabel
+from conftest import (
+    naive_canonical_key,
+    reference_canonical_key,
+    reference_posets,
+    random_frames,
+    reference_preorder_classes,
+    relabel,
+)
 from roachkit import frames as F
+from roachkit import roach as R
 
 # SHA-256 of json.dumps([(f.size, f.up) for n in 1..6 for f in
 # enumerate_frames(n)]): every class representative and its position.
@@ -79,6 +88,93 @@ def test_canonical_key_on_clusters_and_twin_antichains():
             perm = list(range(f.size))
             rng.shuffle(perm)
             assert fresh_key(relabel(f, perm)) == expected
+
+
+def test_canonical_key_matches_reference_on_poset_candidates():
+    # every frame _posets keys on its way to 7 elements, and the rest of
+    # each parent's downsets
+    candidates = [F._extend_poset(p, d) for k in range(1, 7) for p in F._posets(k) for d in F._downsets(p)]
+    assert len(candidates) == 6377
+    for f in candidates:
+        assert fresh_key(f) == reference_canonical_key(f) == naive_canonical_key(f)
+
+
+def with_twins(frame, rng, extra):
+    """``frame`` with ``extra`` added worlds, each with the strict upset and
+    downset of a random original world, and seeing it back half the time:
+    twin antichains and clusters."""
+    edges = [pair for pair in frame.pairs() if pair[0] != pair[1]]
+    n = frame.size
+    for new in range(n, n + extra):
+        w = rng.randrange(frame.size)
+        edges += [(new, v) for u, v in edges if u == w] + [(u, new) for u, v in edges if v == w]
+        if rng.random() < 0.5:
+            edges += [(w, new), (new, w)]
+    return F.normalize_frame(edges, n + extra)
+
+
+def relabelings_bound(frame):
+    """The relabelings the naive key tries for the first invariant's
+    groups, an upper bound on those of the refined groups."""
+    depth, down, cluster = F.depth_vector(frame), F.down_masks(frame), F.cluster_masks(frame)
+    keys = [(depth[w], frame.up[w].bit_count(), down[w].bit_count(), cluster[w].bit_count())
+            for w in frame.worlds()]
+    return math.prod(math.factorial(keys.count(key)) for key in set(keys))
+
+
+def test_canonical_key_matches_reference_on_random_large_frames():
+    rng = random.Random(17)
+    bases = [f for n in range(3, 6) for f in F.enumerate_frames(n)] + random_frames(19, 100, 7, rooted=True)
+    frames = []
+    for _ in range(300):
+        base = rng.choice(bases)
+        frames.append(with_twins(base, rng, rng.randint(8, 12) - base.size))
+    assert {f.size for f in frames} == set(range(8, 13))
+    naive_checked = 0
+    for f in frames:
+        perm = list(range(f.size))
+        rng.shuffle(perm)
+        expected = reference_canonical_key(f)
+        assert fresh_key(f) == fresh_key(relabel(f, perm)) == expected
+        if relabelings_bound(f) <= 2000:
+            naive_checked += 1
+            assert naive_canonical_key(f) == expected
+    assert naive_checked >= 100
+
+
+def test_fast_path_respects_twin_classes():
+    # a, b and e (worlds 1, 2, 3) share depth and sizes, so one group of the
+    # first invariant holds them, but b and e are twins and a is not: a sees
+    # c (4), which two worlds see, while b and e see d (5), which three see.
+    # Round one splits a from b and e, so a key that skips refinement
+    # without checking that each group is a single twin class is wrong.
+    f = F.normalize_frame([(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 5)], 6)
+    expected = naive_canonical_key(f)
+    for perm in itertools.permutations(range(6)):
+        g = relabel(f, perm)
+        assert fresh_key(g) == reference_canonical_key(g) == expected
+
+
+def test_closed_frames_pass_the_frame_check(monkeypatch):
+    # every frame the enumeration builds without the check, rebuilt with it
+    built = []
+
+    def recording(size, up):
+        built.append((size, up))
+        return closed(size, up)
+
+    closed = F._closed_frame
+    monkeypatch.setattr(F, "_closed_frame", recording)
+    monkeypatch.setattr(R, "_closed_frame", recording)
+    for n in range(1, 7):
+        F._posets.__wrapped__(n)
+        F._preorder_classes.__wrapped__(n)
+        before = len(built)
+        R.two_roach_classes(n)
+        assert n < 3 or len(built) > before
+    assert {size for size, _ in built} == set(range(2, 7))
+    for size, up in built:
+        assert F.Frame(size, up).up == up
 
 
 def test_enumeration_order_is_pinned():

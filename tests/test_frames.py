@@ -289,6 +289,18 @@ def test_subframe_rejects_out_of_range_worlds():
             F.subframe(f1, worlds)
 
 
+def test_subframe_restricts_the_order():
+    # initial runs 0..m-1, which keep every index, and arbitrary world sets
+    rng = random.Random(23)
+    for f in random_frames(29, 60, 9):
+        sets = [range(m) for m in range(1, f.size + 1)]
+        sets += [rng.sample(range(f.size), rng.randint(1, f.size)) for _ in range(5)]
+        for worlds in sets:
+            sub, emb = F.subframe(f, worlds)
+            assert emb == tuple(sorted(set(worlds)))
+            assert all(sub.le(i, j) == f.le(emb[i], emb[j]) for i in sub.worlds() for j in sub.worlds())
+
+
 def test_generated_subframe_embedding_preserves_order():
     for n in range(1, 5):
         for f in F.enumerate_frames(n):

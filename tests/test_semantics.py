@@ -298,6 +298,29 @@ def test_find_refutation_recompiles_for_every_new_formula(monkeypatch):
     assert S.find_refutation(frame, formulas[-1]) is None
 
 
+def test_program_cache_keeps_a_few_formulas(monkeypatch):
+    # a census cycles through six formulas frame by frame: each is compiled
+    # once, and a run over many formulas keeps only the latest few
+    compiled = []
+
+    def counting(phi):
+        compiled.append(phi)
+        return compile_formula(phi)
+
+    monkeypatch.setattr(S, "compile_formula", counting)
+    monkeypatch.setattr(S, "_programs", {})
+    formulas = [fm.axiom("bd", k) for k in range(1, 5)] + [fm.axiom("ma"), fm.axiom("ga")]
+    frames = list(F.enumerate_frames(3))
+    for frame in frames:
+        for phi in formulas:
+            assert (S.find_refutation(frame, phi) is None) == naive_frame_validates(frame, phi)
+    assert compiled == formulas
+    for i in range(20):
+        S.find_refutation(frames[0], fm.parse(f"p{i} -> p{i}"))
+    assert len(S._programs) == S._PROGRAM_CACHE_SIZE
+    assert len(compiled) == len(formulas) + 20
+
+
 def test_chunk_reuse_matches_one_chunk_scan():
     # chunks of 2^0, 2^2, 2^3 and 2^5 valuations split spaces of up to 2^10
     # into many chunks, so items take several levels and most chunks
