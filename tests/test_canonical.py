@@ -12,9 +12,9 @@ import pytest
 
 from conftest import (
     naive_canonical_key,
+    random_frames,
     reference_canonical_key,
     reference_posets,
-    random_frames,
     reference_preorder_classes,
     relabel,
 )
