@@ -12,6 +12,7 @@ build step and no compiler.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from collections.abc import Collection
 
 from ._record import field, record
@@ -106,9 +107,11 @@ def _decode_valuation(index: int, variables, n_worlds: int) -> dict:
 # are frozen, and each entry keeps a strong reference to its formula, so its
 # id is not reused while the entry lives; keying on the compiler as well
 # picks up a replaced ``compile_formula``.  The bound keeps a long run from
-# holding every program it compiled.
+# holding every program it compiled.  An entry is one tuple, and eviction is
+# one ``popitem`` call, so a thread never reads a formula with another's
+# program nor sees the dictionary change in the middle of an eviction.
 _PROGRAM_CACHE_SIZE = 8
-_programs: dict = {}
+_programs: OrderedDict = OrderedDict()
 
 
 def find_refutation(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET):
@@ -123,7 +126,7 @@ def find_refutation(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET)
     entry = _programs.get(key)
     if entry is None:
         if len(_programs) >= _PROGRAM_CACHE_SIZE:
-            _programs.pop(next(iter(_programs)), None)
+            _programs.popitem(last=False)
         entry = _programs[key] = (phi, compile_formula(phi))
     program = entry[1]
     total = 1 << (program.n_vars * frame.size)

@@ -1,4 +1,5 @@
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -308,7 +309,7 @@ def test_program_cache_keeps_a_few_formulas(monkeypatch):
         return compile_formula(phi)
 
     monkeypatch.setattr(S, "compile_formula", counting)
-    monkeypatch.setattr(S, "_programs", {})
+    monkeypatch.setattr(S, "_programs", OrderedDict())
     formulas = [fm.axiom("bd", k) for k in range(1, 5)] + [fm.axiom("ma"), fm.axiom("ga")]
     frames = list(F.enumerate_frames(3))
     for frame in frames:
