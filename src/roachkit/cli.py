@@ -20,8 +20,10 @@ from . import roach as R
 from . import semantics as S
 from .errors import RoachkitError
 
-_PARAM_BUILTIN_RE = re.compile(r"^(T|chain)(\d+)$")
-_BARE_BUILTIN_RE = re.compile(r"^(F1|F2|F3|G|point|two_fork|T\d+|chain\d+)$")
+# a size is 1 to 9 ASCII digits: any longer one is far above the frame limit,
+# and int() refuses more than 4,300 digits
+_PARAM_BUILTIN_RE = re.compile(r"^(T|chain)([0-9]{1,9})$")
+_BARE_BUILTIN_RE = re.compile(r"^(F1|F2|F3|G|point|two_fork|T[0-9]{1,9}|chain[0-9]{1,9})$")
 
 
 def _builtin_frame(name: str) -> F.Frame:

@@ -6,9 +6,16 @@ ASCII grammar: variables ``[a-z][a-zA-Z0-9_]*``; ``~`` not, ``&`` and,
 ``T``/``F`` constants, parentheses.  Precedence: unary > ``&`` > ``|`` >
 ``->``.  Diamond is a primitive connective, not sugar for ``~[]~``.
 Formula text may nest at most ``MAX_NESTING`` levels deep.
+
+The parser stands on ``_TextParser``, a cursor that reads one token per
+match of a compiled regular expression, after any whitespace; ``ordinals``
+parses ordinal text on the same cursor.  A character that starts no token
+is a token of its own, so each ``FormulaSyntaxError`` keeps its position.
 """
 
 from __future__ import annotations
+
+import re
 
 from ._record import record
 from .errors import FormulaSyntaxError, FrameFormatError, PreconditionError
@@ -188,124 +195,131 @@ def eliminate_diamonds(phi: Formula) -> Formula:
 # for n <= 25.
 MAX_NESTING = 100
 
-_VAR_START = "abcdefghijklmnopqrstuvwxyz"
-_VAR_BODY = _VAR_START + _VAR_START.upper() + "0123456789_"
-_PREFIX = (("~", Not), ("[]", Box), ("<>", Diamond))
+_PREFIX = {"~": Not, "[]": Box, "<>": Diamond}
+_CONSTANTS = {"T": TOP, "F": BOT}
+# the left-associative levels, loosest first
+_CHAINS = (("|", Or), ("&", And))
 
 
-class _Parser:
-    """Each parsing method returns ``(formula, height)``; ``depth`` counts
-    the unary operators, parentheses and ``->`` right operands open around
-    the current position, a unary operator and the parenthesis right after
-    it counting once.  Every returned height plus the depth it was parsed
-    at stays within ``MAX_NESTING``, so ``render`` of any formula at most
-    ``MAX_NESTING`` connectives high parses back."""
+class _TextParser:
+    """A cursor over text that reads one token at a time.  ``token`` is the
+    token at ``pos``, after any whitespace: one match of ``TOKEN``, whose
+    first group is the token, "" at the end of the text, and any character
+    that starts no longer token on its own.  ``end`` is where the last
+    consumed token ended, and ``depth`` counts the nesting levels open
+    around the cursor.  An error points at ``pos``, the token refused, or
+    at ``end`` when a check fails on what was just consumed.  A grammar
+    sets ``TOKEN`` and ``NOUN``, the word its nesting errors use, and
+    parses the whole text in ``start``."""
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.depth = 0
+        self.pos = self.end = 0
+        self.token = ""
+        self.advance()
 
-    def error(self, message):
-        raise FormulaSyntaxError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def advance(self):
+        """Consume the current token and read the next one."""
+        self.end = self.pos + len(self.token)
+        match = self.TOKEN.match(self.text, self.end)
+        self.pos = match.start(1)
+        self.token = match[1]
 
     def eat(self, token: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
+        if self.token != token:
+            return False
+        self.advance()
+        return True
 
-    def expect(self, token: str):
-        if not self.eat(token):
-            self.error(f"expected {token!r}")
+    def error(self, message, at=None):
+        raise FormulaSyntaxError(message, self.pos if at is None else at)
 
-    def too_deep(self):
-        self.error(f"formula nests deeper than {MAX_NESTING} levels")
+    def check_depth(self, levels, at):
+        if self.depth + levels > MAX_NESTING:
+            self.error(f"{self.NOUN} nests deeper than {MAX_NESTING} levels", at)
 
-    def nested(self, parse_inner):
+    def nested(self, parse_inner, at):
+        """``parse_inner`` one level deeper; too deep an error at ``at``."""
         self.depth += 1
-        if self.depth > MAX_NESTING:
-            self.too_deep()
+        self.check_depth(0, at)
         result = parse_inner()
         self.depth -= 1
         return result
 
-    def binary(self, cls, left, right):
+    def parse(self):
+        value = self.start()
+        if self.token:
+            self.error("unexpected trailing input")
+        return value
+
+
+class _Parser(_TextParser):
+    """Each parsing method returns ``(formula, height)``; ``depth`` counts
+    the unary operators, parentheses and ``->`` right operands open around
+    the cursor, a unary operator and the parenthesis right after it counting
+    once.  Every returned height plus the depth it was parsed at stays
+    within ``MAX_NESTING``, so ``render`` of any formula at most
+    ``MAX_NESTING`` connectives high parses back."""
+
+    TOKEN = re.compile(r"\s*([a-z][a-zA-Z0-9_]*|->|\[\]|<>|.|)", re.DOTALL)
+    NOUN = "formula"
+
+    def start(self) -> Formula:
+        return self.implies()[0]
+
+    def binary(self, cls, left, right, at):
         height = 1 + max(left[1], right[1])
-        if self.depth + height > MAX_NESTING:
-            self.too_deep()
+        self.check_depth(height, at)
         return cls(left[0], right[0]), height
 
-    def parse(self) -> Formula:
-        phi, _ = self.implies()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("unexpected trailing input")
-        return phi
-
     def implies(self):
-        left = self.disjunction()
+        left = self.chain(0)
         if self.eat("->"):
-            return self.binary(Implies, left, self.nested(self.implies))
+            return self.binary(Implies, left, self.nested(self.implies, self.end), self.pos)
         return left
 
-    def disjunction(self):
-        left = self.conjunction()
-        while self.eat("|"):
-            left = self.binary(Or, left, self.conjunction())
+    def chain(self, level):
+        """A left-associative chain of ``_CHAINS[level]`` over the next
+        level; a too high ``&`` is reported where its right operand ends,
+        a ``|`` at the token after it."""
+        if level == len(_CHAINS):
+            return self.unary()
+        token, cls = _CHAINS[level]
+        left = self.chain(level + 1)
+        while self.eat(token):
+            right = self.chain(level + 1)
+            left = self.binary(cls, left, right, self.end if cls is And else self.pos)
         return left
-
-    def conjunction(self):
-        left = self.unary()
-        while True:
-            self.skip_ws()
-            # '&' but not part of a future token
-            if self.eat("&"):
-                left = self.binary(And, left, self.unary())
-            else:
-                return left
 
     def unary(self):
-        self.skip_ws()
-        for token, cls in _PREFIX:
-            if self.text.startswith(token, self.pos):
-                self.pos += len(token)
-                self.skip_ws()
-                if self.text.startswith("(", self.pos):
-                    # the parenthesis opens the operand's level, so that
-                    # "~(p & q)" nests one level, as the formula does
-                    phi, height = self.atom()
-                else:
-                    phi, height = self.nested(self.unary)
-                return cls(phi), height + 1
-        return self.atom()
+        cls = _PREFIX.get(self.token)
+        if cls is None:
+            return self.atom()
+        self.advance()
+        if self.token == "(":
+            # the parenthesis opens the operand's level, so that
+            # "~(p & q)" nests one level, as the formula does
+            phi, height = self.atom()
+        else:
+            phi, height = self.nested(self.unary, self.pos)
+        return cls(phi), height + 1
 
     def atom(self):
-        self.skip_ws()
         if self.eat("("):
-            phi = self.nested(self.implies)
-            self.expect(")")
+            phi = self.nested(self.implies, self.end)
+            if not self.eat(")"):
+                self.error("expected ')'")
             return phi
-        if self.pos >= len(self.text):
-            self.error("unexpected end of input")
-        ch = self.text[self.pos]
-        if ch == "T":
-            self.pos += 1
-            return TOP, 0
-        if ch == "F":
-            self.pos += 1
-            return BOT, 0
-        if ch in _VAR_START:
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos] in _VAR_BODY:
-                self.pos += 1
-            return Var(self.text[start : self.pos]), 0
-        self.error(f"unexpected character {ch!r}")
+        token = self.token
+        if token in _CONSTANTS:
+            phi = _CONSTANTS[token]
+        elif "a" <= token[:1] <= "z":  # TOKEN reads the whole name
+            phi = Var(token)
+        else:
+            self.error(f"unexpected character {token[0]!r}" if token else "unexpected end of input")
+        self.advance()
+        return phi, 0
 
 
 def parse(text: str) -> Formula:
@@ -316,7 +330,7 @@ def parse(text: str) -> Formula:
 # left and right operands are printed at; a part printed at a precedence
 # above its own is parenthesized
 _INFIX = {And: (" & ", 3, 3, 4), Or: (" | ", 2, 2, 3), Implies: (" -> ", 1, 2, 1)}
-_PREFIX_TEXT = {cls: token for token, cls in _PREFIX}
+_PREFIX_TEXT = {cls: token for token, cls in _PREFIX.items()}
 
 
 def render(phi: Formula) -> str:

@@ -5,16 +5,17 @@ compactifications.
 Text syntax: ``w^(<ordinal>)*<nat>`` terms joined by ``+``, with sugar
 ``w^k``, ``w``, and bare naturals, e.g. ``w^w + w^2*3 + 1``.  Parenthesized
 exponents may nest at most ``formulas.MAX_NESTING`` levels deep, and a
-natural may have at most ``MAX_NAT_DIGITS`` digits.
+natural is at most ``MAX_NAT_DIGITS`` ASCII digits.
 """
 
 from __future__ import annotations
 
+import re
 from functools import total_ordering
 
 from ._record import record
-from .errors import FormulaSyntaxError, PreconditionError
-from .formulas import MAX_NESTING
+from .errors import PreconditionError
+from .formulas import _TextParser
 
 # Longest natural number that ordinal text may spell out.  Python refuses to
 # convert integers of more than 4,300 digits to or from text, so the cap sits
@@ -124,39 +125,21 @@ def tear_off(gamma: Ordinal) -> tuple[Ordinal, Ordinal]:
 # parsing / printing
 
 
-class _OrdinalParser:
-    """``depth`` counts the parenthesized exponents open around the current
-    position; the parser recurses a few frames per level."""
+class _OrdinalParser(_TextParser):
+    """``depth`` counts the parenthesized exponents open around the cursor.
+    A natural is one token of ASCII digits."""
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
+    TOKEN = re.compile(r"\s*([0-9]+|.|)", re.DOTALL)
+    NOUN = "ordinal"
 
-    def error(self, message):
-        raise FormulaSyntaxError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def eat(self, token: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def nat(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected a natural number")
-        if self.pos - start > MAX_NAT_DIGITS:
-            raise FormulaSyntaxError(f"natural number longer than {MAX_NAT_DIGITS} digits", start)
-        return int(self.text[start : self.pos])
+    def nat(self, expected="a natural number") -> int:
+        digits = self.token
+        if not (digits.isascii() and digits.isdigit()):
+            self.error(f"expected {expected}")
+        if len(digits) > MAX_NAT_DIGITS:
+            self.error(f"natural number longer than {MAX_NAT_DIGITS} digits")
+        self.advance()
+        return int(digits)
 
     def ordinal(self) -> Ordinal:
         total = self.term()
@@ -164,42 +147,27 @@ class _OrdinalParser:
             total = total + self.term()
         return total
 
+    start = ordinal
+
     def term(self) -> Ordinal:
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos].isdigit():
-            return from_int(self.nat())
         if not self.eat("w"):
-            self.error("expected 'w' or a natural number")
+            return from_int(self.nat("'w' or a natural number"))
         exp = ONE
         if self.eat("^"):
-            self.skip_ws()
             if self.eat("("):
-                self.depth += 1
-                if self.depth > MAX_NESTING:
-                    self.error(f"ordinal nests deeper than {MAX_NESTING} levels")
-                exp = self.ordinal()
-                self.depth -= 1
+                exp = self.nested(self.ordinal, self.end)
                 if not self.eat(")"):
                     self.error("expected ')'")
-            elif self.pos < len(self.text) and self.text[self.pos].isdigit():
-                exp = from_int(self.nat())
             elif self.eat("w"):
                 exp = OMEGA
             else:
-                self.error("expected an exponent")
+                exp = from_int(self.nat("an exponent"))
         coeff = 1
         if self.eat("*"):
             coeff = self.nat()
             if coeff < 1:
-                self.error("coefficients must be positive")
+                self.error("coefficients must be positive", self.end)
         return omega_power(exp, coeff)
-
-    def parse(self) -> Ordinal:
-        value = self.ordinal()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("unexpected trailing input")
-        return value
 
 
 def parse_ordinal(text: str) -> Ordinal:

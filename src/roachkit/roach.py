@@ -22,6 +22,7 @@ import itertools
 from ._record import record
 from .errors import PreconditionError
 from .frames import (
+    MAX_FRAME_WORLDS,
     Frame,
     _closed_frame,
     _preorder_classes,
@@ -64,16 +65,16 @@ def builtin(name: str, n: int | None = None) -> Frame:
             labels=("r", "v1", "v2", "m1", "m2"),
         )
     if name == "T":
-        if n is None or n < 1:
-            raise PreconditionError("T needs a chain length n >= 1")
+        if n is None or not 1 <= n <= MAX_FRAME_WORLDS - 2:
+            raise PreconditionError(f"T needs a chain length 1 <= n <= {MAX_FRAME_WORLDS - 2}")
         pairs = [(0, 1)] + [(i, i + 1) for i in range(1, n)] + [(0, n + 1)]
         labels = ("r",) + tuple(f"w{i}" for i in range(1, n + 1)) + ("v",)
         return normalize_frame(pairs, n + 2, labels=labels)
     if name == "two_fork":
         return normalize_frame([(0, 1), (0, 2)], 3, labels=("r", "m1", "m2"))
     if name == "chain":
-        if n is None or n < 1:
-            raise PreconditionError("chain needs a length k >= 1")
+        if n is None or not 1 <= n <= MAX_FRAME_WORLDS:
+            raise PreconditionError(f"chain needs a length 1 <= k <= {MAX_FRAME_WORLDS}")
         return normalize_frame([(i, i + 1) for i in range(n - 1)], n)
     if name == "point":
         return normalize_frame([], 1)

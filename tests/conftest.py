@@ -16,7 +16,13 @@ from roachkit import frames as F
 from roachkit import ordinals as O
 from roachkit import roach as R
 from roachkit import semantics as S
-from roachkit.errors import BudgetExceededError, CeilingExceededError, PreconditionError, RoachkitError
+from roachkit.errors import (
+    BudgetExceededError,
+    CeilingExceededError,
+    FormulaSyntaxError,
+    PreconditionError,
+    RoachkitError,
+)
 from roachkit.frames import (
     Frame,
     canonical_key,
@@ -140,6 +146,208 @@ def reference_logic_of_ordinal_space(gamma):
     while O.omega_power(O.from_int(n)) < gamma:
         n += 1
     return O.s4grz_n(n)
+
+
+class _ReferenceFormulaParser:
+    """The character-level formula parser that ``formulas.parse`` replaced:
+    it skips whitespace and matches each symbol with ``str.startswith``.
+    Each parsing method returns ``(formula, height)``; ``depth`` counts the
+    unary operators, parentheses and ``->`` right operands open around the
+    position, a unary operator and the parenthesis right after it counting
+    once."""
+
+    PREFIX = (("~", fm.Not), ("[]", fm.Box), ("<>", fm.Diamond))
+    VAR_START = "abcdefghijklmnopqrstuvwxyz"
+    VAR_BODY = VAR_START + VAR_START.upper() + "0123456789_"
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+
+    def error(self, message):
+        raise FormulaSyntaxError(message, self.pos)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def eat(self, token):
+        self.skip_ws()
+        if self.text.startswith(token, self.pos):
+            self.pos += len(token)
+            return True
+        return False
+
+    def too_deep(self):
+        self.error(f"formula nests deeper than {fm.MAX_NESTING} levels")
+
+    def nested(self, parse_inner):
+        self.depth += 1
+        if self.depth > fm.MAX_NESTING:
+            self.too_deep()
+        result = parse_inner()
+        self.depth -= 1
+        return result
+
+    def binary(self, cls, left, right):
+        height = 1 + max(left[1], right[1])
+        if self.depth + height > fm.MAX_NESTING:
+            self.too_deep()
+        return cls(left[0], right[0]), height
+
+    def parse(self):
+        phi, _ = self.implies()
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.error("unexpected trailing input")
+        return phi
+
+    def implies(self):
+        left = self.disjunction()
+        if self.eat("->"):
+            return self.binary(fm.Implies, left, self.nested(self.implies))
+        return left
+
+    def disjunction(self):
+        left = self.conjunction()
+        while self.eat("|"):
+            left = self.binary(fm.Or, left, self.conjunction())
+        return left
+
+    def conjunction(self):
+        left = self.unary()
+        while True:
+            self.skip_ws()
+            if self.eat("&"):
+                left = self.binary(fm.And, left, self.unary())
+            else:
+                return left
+
+    def unary(self):
+        self.skip_ws()
+        for token, cls in self.PREFIX:
+            if self.text.startswith(token, self.pos):
+                self.pos += len(token)
+                self.skip_ws()
+                if self.text.startswith("(", self.pos):
+                    phi, height = self.atom()
+                else:
+                    phi, height = self.nested(self.unary)
+                return cls(phi), height + 1
+        return self.atom()
+
+    def atom(self):
+        self.skip_ws()
+        if self.eat("("):
+            phi = self.nested(self.implies)
+            if not self.eat(")"):
+                self.error("expected ')'")
+            return phi
+        if self.pos >= len(self.text):
+            self.error("unexpected end of input")
+        ch = self.text[self.pos]
+        if ch == "T":
+            self.pos += 1
+            return fm.TOP, 0
+        if ch == "F":
+            self.pos += 1
+            return fm.BOT, 0
+        if ch in self.VAR_START:
+            start = self.pos
+            while self.pos < len(self.text) and self.text[self.pos] in self.VAR_BODY:
+                self.pos += 1
+            return fm.Var(self.text[start : self.pos]), 0
+        self.error(f"unexpected character {ch!r}")
+
+
+def reference_parse(text):
+    """``formulas.parse`` by the character-level parser it replaced."""
+    return _ReferenceFormulaParser(text).parse()
+
+
+class _ReferenceOrdinalParser:
+    """The character-level ordinal parser that ``ordinals.parse_ordinal``
+    replaced.  It reads naturals with ``str.isdigit``, so it takes any
+    Unicode digit, and ``int`` fails on those that are not decimal."""
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+
+    def error(self, message):
+        raise FormulaSyntaxError(message, self.pos)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def eat(self, token):
+        self.skip_ws()
+        if self.text.startswith(token, self.pos):
+            self.pos += len(token)
+            return True
+        return False
+
+    def nat(self):
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if start == self.pos:
+            self.error("expected a natural number")
+        if self.pos - start > O.MAX_NAT_DIGITS:
+            raise FormulaSyntaxError(f"natural number longer than {O.MAX_NAT_DIGITS} digits", start)
+        return int(self.text[start : self.pos])
+
+    def ordinal(self):
+        total = self.term()
+        while self.eat("+"):
+            total = total + self.term()
+        return total
+
+    def term(self):
+        self.skip_ws()
+        if self.pos < len(self.text) and self.text[self.pos].isdigit():
+            return O.from_int(self.nat())
+        if not self.eat("w"):
+            self.error("expected 'w' or a natural number")
+        exp = O.ONE
+        if self.eat("^"):
+            self.skip_ws()
+            if self.eat("("):
+                self.depth += 1
+                if self.depth > fm.MAX_NESTING:
+                    self.error(f"ordinal nests deeper than {fm.MAX_NESTING} levels")
+                exp = self.ordinal()
+                self.depth -= 1
+                if not self.eat(")"):
+                    self.error("expected ')'")
+            elif self.pos < len(self.text) and self.text[self.pos].isdigit():
+                exp = O.from_int(self.nat())
+            elif self.eat("w"):
+                exp = O.OMEGA
+            else:
+                self.error("expected an exponent")
+        coeff = 1
+        if self.eat("*"):
+            coeff = self.nat()
+            if coeff < 1:
+                self.error("coefficients must be positive")
+        return O.omega_power(exp, coeff)
+
+    def parse(self):
+        value = self.ordinal()
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.error("unexpected trailing input")
+        return value
+
+
+def reference_parse_ordinal(text):
+    """``ordinals.parse_ordinal`` by the character-level parser it replaced."""
+    return _ReferenceOrdinalParser(text).parse()
 
 
 def naive_depths(frame):

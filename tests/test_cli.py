@@ -194,6 +194,15 @@ def test_domain_error_exit_code(capsys):
         code, out, err = run_cli(capsys, "eval", "builtin:F1", "--formula", "p",
                                  "--valuation", '{"p": %s}' % worlds)
         assert code == 1 and out == "" and len(err.strip().splitlines()) == 1, (worlds, err)
+    # naturals and built-in sizes not in ASCII digits, and built-in sizes
+    # above the frame limit (last: without the limit they build the frame)
+    for argv in (["ordinal-classify", "w^²"], ["ordinal-classify", "٣"],
+                 ["check", "builtin:chain٣"], ["check", "builtin:T²"],
+                 ["check", "builtin:chain" + "9" * 5000], ["check", "builtin:chain999999"],
+                 ["check", "builtin:T99999999"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("error:"), argv
+        assert len(err.strip().splitlines()) == 1, argv
 
 
 def test_unreadable_frame_path_exits_1(tmp_path, capsys):

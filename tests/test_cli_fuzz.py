@@ -17,7 +17,7 @@ JUNK = [None, True, -1, 0, 1, 3, 1.5, "2", [], {}, [[0, 1]], [0, 1], "le", 10**3
 FORMULA_TOKENS = ["p", "q", "r", "T", "F", "~", "[]", "<>", "&", "|", "->", "<->", "(", ")",
                   " ", "[", "]", "<", ">", "-", "1", "_", "é"]
 ORDINAL_TOKENS = ["w", "^", "(", ")", "*", "+", " ", "0", "1", "2", "9", "-", "w^w", "x",
-                  "ω"]
+                  "ω", "²", "٣"]
 
 
 def random_frame_json(rng) -> str:

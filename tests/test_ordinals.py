@@ -99,6 +99,15 @@ def test_parse_caps_natural_length():
             p(text)
 
 
+def test_parse_takes_only_ascii_digits():
+    # str.isdigit accepts these; int() fails on the superscript and reads
+    # the Arabic-Indic digit as 3
+    for text, position in (("w^²", 2), ("٣", 0), ("w*٣", 2), ("1٣", 1), ("w^(²)", 3)):
+        with pytest.raises(FormulaSyntaxError) as info:
+            p(text)
+        assert info.value.position == position
+
+
 def test_ordinal_invariants_enforced():
     with pytest.raises(ValueError):
         O.Ordinal(((O.ZERO, 0),))

@@ -53,6 +53,25 @@ def test_builtin_bad_parameters():
         R.builtin("octopus")
 
 
+class _Built(Exception):
+    pass
+
+
+def test_builtin_refuses_sizes_above_the_frame_limit(monkeypatch):
+    def build(*args, **kwargs):
+        raise _Built
+
+    # no frame is built: a 4,096-world chain takes seconds to close
+    monkeypatch.setattr(R, "normalize_frame", build)
+    cap = F.MAX_FRAME_WORLDS
+    for name, n in (("chain", cap), ("T", cap - 2)):  # at the limit
+        with pytest.raises(_Built):
+            R.builtin(name, n)
+    for name, n in (("chain", cap + 1), ("T", cap - 1), ("chain", 999999), ("T", 99999999)):
+        with pytest.raises(PreconditionError, match=f"<= {cap - 2 if name == 'T' else cap}"):
+            R.builtin(name, n)
+
+
 def test_splitting_certificate_point():
     cert = R.splitting_certificate(R.builtin("point"), 1)
     assert cert is not None and cert.s == 0
