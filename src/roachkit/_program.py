@@ -3,13 +3,12 @@
 A program is a postorder instruction list over slots.  Equal subformulas
 share one slot: a node's instruction names its operands' slots, so two
 nodes are equal exactly when their instructions are, and the compiler looks
-instructions up instead of hashing formula subtrees.  Each instruction
-lists the slots that die after it, so the scanner can free their values.
+instructions up instead of hashing formula subtrees.
 """
 
 from __future__ import annotations
 
-from ._record import field, record
+from ._record import record
 from . import formulas as fm
 
 OP_BOT, OP_TOP, OP_VAR, OP_NOT, OP_AND, OP_OR, OP_IMP, OP_BOX, OP_DIA = range(9)
@@ -23,12 +22,6 @@ _CONSTANT = {fm.Bot: (OP_BOT, 0, 0), fm.Top: (OP_TOP, 0, 0)}
 class Program:
     ops: tuple[tuple[int, int, int], ...]
     variables: tuple[str, ...]
-    # dies[pc]: the slots, ascending, last read by instruction pc; the
-    # result slot outlives the program and is in no entry
-    dies: tuple[tuple[int, ...], ...]
-    # the scanner's one-chunk plan per world count, built on first use; it
-    # lives and dies with the program and takes no part in equality
-    plans: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n_vars(self) -> int:
@@ -59,15 +52,4 @@ def compile_formula(phi: fm.Formula) -> Program:
             slot = slot_of_instr[instr] = len(ops)
             ops.append(instr)
         slot_of_node[id(node)] = slot
-
-    last_use = list(range(len(ops)))
-    for pc, (op, a, b) in enumerate(ops):
-        if op in (OP_NOT, OP_BOX, OP_DIA):
-            last_use[a] = pc
-        elif op in (OP_AND, OP_OR, OP_IMP):
-            last_use[a] = pc
-            last_use[b] = pc
-    dies: list[list[int]] = [[] for _ in ops]
-    for slot, pc in enumerate(last_use[:-1]):
-        dies[pc].append(slot)
-    return Program(tuple(ops), variables, tuple(map(tuple, dies)))
+    return Program(tuple(ops), variables)

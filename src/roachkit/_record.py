@@ -21,19 +21,16 @@ _setattr = object.__setattr__
 
 
 class _Field:
-    __slots__ = ("default_factory", "compare", "repr")
+    __slots__ = ("default_factory",)
 
-    def __init__(self, default_factory, compare, repr):
+    def __init__(self, default_factory):
         self.default_factory = default_factory
-        self.compare = compare
-        self.repr = repr
 
 
-def field(*, default_factory, compare: bool = True, repr: bool = True):
+def field(*, default_factory):
     """A field whose default is ``default_factory()``, called anew for each
-    instance; ``compare=False`` leaves it out of ``==`` and ``hash``, and
-    ``repr=False`` out of ``repr``."""
-    return _Field(default_factory, compare, repr)
+    instance."""
+    return _Field(default_factory)
 
 
 def _binder(qualname, names, defaults):
@@ -76,8 +73,6 @@ def record(cls):
                 raise TypeError(f"non-default field {name!r} follows a default field")
             continue
         defaults[name] = value
-    compared = tuple(n for n in names if type(defaults.get(n)) is not _Field or defaults[n].compare)
-    shown = tuple(n for n in names if type(defaults.get(n)) is not _Field or defaults[n].repr)
 
     bind = _binder(cls.__qualname__, names, defaults)
     arity = len(names)
@@ -96,16 +91,16 @@ def record(cls):
             self.__post_init__()
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{self.__class__.__qualname__}({fields})"
 
     # equal only to an instance of the very same class, and hashed as the
-    # tuple of the compared fields' values
-    if len(compared) == 1:
-        get = attrgetter(*compared)
+    # tuple of the fields' values
+    if len(names) == 1:
+        get = attrgetter(*names)
         key = lambda self: (get(self),)
     else:
-        key = attrgetter(*compared) if compared else lambda self: ()
+        key = attrgetter(*names) if names else lambda self: ()
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

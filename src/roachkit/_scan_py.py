@@ -23,16 +23,17 @@ from chunk c-1 to chunk c flips exactly the high index bits 0 .. tz(c)
 c, so chunk c recomputes only the items of level at most tz(c) and keeps the
 rest.  An item a consumer reads in a chunk where the item itself is not
 recomputed must outlive its chunk: that happens exactly when some consumer
-has a strictly lower level.  Every other item dies at the last use of its
-subformula, as in a single chunk.  The analysis depends on the frame, so it
-is built once per call, and only when the scan spans more than one chunk.
+has a strictly lower level.  A slot with such an item lives through the
+whole scan; every other slot is freed whole after the instruction that reads
+it last, as in a single chunk.  The analysis depends on the frame, so it is
+built once per call, and only when the scan spans more than one chunk.
 
 A scan that fits in one chunk computes every item and frees each slot after
-the instruction the program lists it as dying at.  That plan depends on the
-world count alone, not on the frame, so it is built on the first such scan
-of each count and kept in the program's ``plans``, which is freed with the
-program: a query that scans one formula on many frames plans it once per
-world count.  Both kinds of plan run through the same loop.
+the instruction that reads it last.  That plan depends on the world count
+alone, not on the frame, so it is built on the first such scan of each count
+and kept in the program's ``__dict__``, which is freed with the program: a
+query that scans one formula on many frames plans it once per world count.
+Both kinds of plan run through the same loop.
 """
 
 from __future__ import annotations
@@ -73,9 +74,22 @@ def _operands(op, a, b):
     return ()
 
 
+def _dying(ops):
+    """The slots each instruction reads last.  The result slot is read after
+    the program, so it dies at no instruction."""
+    last_read = {}
+    for pc, (op, a, b) in enumerate(ops):
+        for s in _operands(op, a, b):
+            last_read[s] = pc
+    dying = [[] for _ in ops]
+    for s, pc in last_read.items():
+        dying[pc].append(s)
+    return dying
+
+
 def _levels(ops, members, n_worlds, chunk_log2, high):
     """Level of every item, ``high`` for an item with no level, and whether
-    each item must outlive its chunk."""
+    each slot has an item that must outlive its chunk."""
     levels = []
     for op, a, b in ops:
         if op == OP_VAR:
@@ -91,29 +105,33 @@ def _levels(ops, members, n_worlds, chunk_log2, high):
             src = levels[a]
             lv = [min(src[u] for u in members[i]) for i in range(n_worlds)]
         levels.append(lv)
-    lowest_consumer = [[high] * n_worlds for _ in ops]
+    # a slot is kept when some consumer item has a lower level than an item
+    # of the slot that it reads
+    at_own_world = [(i,) for i in range(n_worlds)]
+    kept = [False] * len(ops)
     for pc, (op, a, b) in enumerate(ops):
         mine = levels[pc]
+        read = members if op in (OP_BOX, OP_DIA) else at_own_world
         for s in _operands(op, a, b):
-            low = lowest_consumer[s]
-            for i in range(n_worlds):
-                for u in members[i] if op in (OP_BOX, OP_DIA) else (i,):
-                    if mine[i] < low[u]:
-                        low[u] = mine[i]
-    kept = [[c < own for c, own in zip(low, lv)] for low, lv in zip(lowest_consumer, levels)]
+            if not kept[s]:
+                own = levels[s]
+                kept[s] = any(mine[i] < own[u] for i in range(n_worlds) for u in read[i])
     return levels, kept
 
 
 def _one_chunk_plan(program, n_worlds):
     """Steps of a scan that fits in one chunk: every item at every world,
-    each slot freed after its last use.  They depend on the world count
+    each slot freed after its last read.  They depend on the world count
     alone, so each count's plan is built once and kept on the program."""
-    steps = program.plans.get(n_worlds)
+    plans = program.__dict__.get("_one_chunk_plans")
+    if plans is None:
+        plans = program.__dict__["_one_chunk_plans"] = {}
+    steps = plans.get(n_worlds)
     if steps is None:
         worlds = tuple(range(n_worlds))
-        steps = program.plans[n_worlds] = [
-            (op, pc, a, b, worlds, tuple((s, None) for s in dead))
-            for pc, ((op, a, b), dead) in enumerate(zip(program.ops, program.dies))
+        steps = plans[n_worlds] = [
+            (op, pc, a, b, worlds, dead)
+            for pc, ((op, a, b), dead) in enumerate(zip(program.ops, _dying(program.ops)))
         ]
     return steps
 
@@ -124,18 +142,8 @@ def _chunk_plans(program, members, n_worlds, chunk_log2, high):
     ops = program.ops
     worlds = tuple(range(n_worlds))
     levels, kept = _levels(ops, members, n_worlds, chunk_log2, high)
-    # after each instruction, the items of its operands that die there: a
-    # whole slot (None) or the worlds not kept for a later chunk
-    drops = []
-    for dead in program.dies:
-        drop = []
-        for s in dead:
-            gone = tuple(u for u in worlds if not kept[s][u])
-            if len(gone) == n_worlds:
-                drop.append((s, None))
-            elif gone:
-                drop.append((s, gone))
-        drops.append(drop)
+    # after each instruction, the slots it reads last that no later chunk reads
+    drops = [[s for s in dead if not kept[s]] for dead in _dying(ops)]
 
     def plan(threshold):
         steps = []
@@ -217,13 +225,8 @@ def find_refuting_index(up, n_worlds, program, chunk_log2=16):
             else:  # OP_BOT
                 for i in todo:
                     vec[i] = 0
-            for s, gone in drop:
-                if gone is None:
-                    vals[s] = None
-                else:
-                    dying = vals[s]
-                    for u in gone:
-                        dying[u] = None
+            for s in drop:
+                vals[s] = None
         acc = full
         for x in vals[-1]:
             acc &= x

@@ -121,25 +121,6 @@ def postorder(phi: Formula) -> list:
     return order
 
 
-def modal_depth(phi: Formula) -> int:
-    """The deepest nesting of boxes and diamonds, folded over ``postorder``."""
-    depth = {}
-    for node in postorder(phi):
-        match node:
-            case Var() | Top() | Bot():
-                d = 0
-            case Not(operand=op):
-                d = depth[id(op)]
-            case Box(operand=op) | Diamond(operand=op):
-                d = 1 + depth[id(op)]
-            case And(left=a, right=b) | Or(left=a, right=b) | Implies(left=a, right=b):
-                d = max(depth[id(a)], depth[id(b)])
-            case _:
-                raise TypeError(f"not a formula: {node!r}")
-        depth[id(node)] = d
-    return depth[id(phi)]
-
-
 def _balanced(op, parts, empty: Formula) -> Formula:
     """Pair neighbours level by level; an odd last part moves up unpaired."""
     parts = list(parts)
@@ -161,24 +142,6 @@ def conj(parts) -> Formula:
 def disj(parts) -> Formula:
     """Balanced disjunction of a sequence (BOT when empty)."""
     return _balanced(Or, parts, BOT)
-
-
-def eliminate_diamonds(phi: Formula) -> Formula:
-    """Rewrite every diamond as ~[]~ (explicit normalization; never applied
-    silently by the parser or printer), folded over ``postorder``."""
-    done = {}
-    for node in postorder(phi):
-        match node:
-            case Diamond(operand=op):
-                new = Not(Box(Not(done[id(op)])))
-            case Not(operand=op) | Box(operand=op):
-                new = type(node)(done[id(op)])
-            case And(left=a, right=b) | Or(left=a, right=b) | Implies(left=a, right=b):
-                new = type(node)(done[id(a)], done[id(b)])
-            case _:
-                new = node
-        done[id(node)] = new
-    return done[id(phi)]
 
 
 # ---------------------------------------------------------------------------

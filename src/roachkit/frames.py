@@ -270,7 +270,6 @@ class FrameFlags:
     s41: bool
     s412: bool
     max_points: tuple[int, ...]
-    min_points: tuple[int, ...]
 
 
 @_per_frame
@@ -279,7 +278,6 @@ def classify_frame(frame: Frame) -> FrameFlags:
     down = down_masks(frame)
     roots = tuple(w for w in frame.worlds() if frame.up[w] == full)
     max_points = tuple(w for w in frame.worlds() if frame.up[w] == 1 << w)
-    min_points = tuple(w for w in frame.worlds() if down[w] == 1 << w)
     max_mask = mask_of(max_points)
     partial_order = all(cluster_masks(frame)[w] == 1 << w for w in frame.worlds())
     s41 = all(frame.up[w] & max_mask for w in frame.worlds())
@@ -296,7 +294,6 @@ def classify_frame(frame: Frame) -> FrameFlags:
         s41=s41,
         s412=s412,
         max_points=max_points,
-        min_points=min_points,
     )
 
 

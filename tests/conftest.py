@@ -521,6 +521,43 @@ def reference_onto_p_morphism(source, target):
     return None
 
 
+def modal_depth(phi: fm.Formula) -> int:
+    """The deepest nesting of boxes and diamonds, folded over ``postorder``."""
+    depth = {}
+    for node in fm.postorder(phi):
+        match node:
+            case fm.Var() | fm.Top() | fm.Bot():
+                d = 0
+            case fm.Not(operand=op):
+                d = depth[id(op)]
+            case fm.Box(operand=op) | fm.Diamond(operand=op):
+                d = 1 + depth[id(op)]
+            case fm.And(left=a, right=b) | fm.Or(left=a, right=b) | fm.Implies(left=a, right=b):
+                d = max(depth[id(a)], depth[id(b)])
+            case _:
+                raise TypeError(f"not a formula: {node!r}")
+        depth[id(node)] = d
+    return depth[id(phi)]
+
+
+def eliminate_diamonds(phi: fm.Formula) -> fm.Formula:
+    """Rewrite every diamond as ~[]~ (explicit normalization; never applied
+    silently by the parser or printer), folded over ``postorder``."""
+    done = {}
+    for node in fm.postorder(phi):
+        match node:
+            case fm.Diamond(operand=op):
+                new = fm.Not(fm.Box(fm.Not(done[id(op)])))
+            case fm.Not(operand=op) | fm.Box(operand=op):
+                new = type(node)(done[id(op)])
+            case fm.And(left=a, right=b) | fm.Or(left=a, right=b) | fm.Implies(left=a, right=b):
+                new = type(node)(done[id(a)], done[id(b)])
+            case _:
+                new = node
+        done[id(node)] = new
+    return done[id(phi)]
+
+
 def naive_frame_validates(frame, phi):
     """Validity by looping over every valuation one at a time."""
     names = fm.variables(phi)
@@ -563,15 +600,21 @@ def reference_compile_formula(phi):
         return memo[node]
 
     emit(phi)
+    return P.Program(tuple(ops), variables)
+
+
+def reference_dying_slots(ops):
+    """The slots that die after each instruction, ascending: each slot but
+    the result dies at its last use, the instruction itself when no later
+    one reads it."""
     last_use = list(range(len(ops)))
     for pc, (op, a, b) in enumerate(ops):
         if op in (P.OP_NOT, P.OP_BOX, P.OP_DIA):
             last_use[a] = pc
         elif op in (P.OP_AND, P.OP_OR, P.OP_IMP):
             last_use[a] = last_use[b] = pc
-    dies = tuple(tuple(s for s in range(len(ops) - 1) if last_use[s] == pc)
+    return tuple(tuple(s for s in range(len(ops) - 1) if last_use[s] == pc)
                  for pc in range(len(ops)))
-    return P.Program(tuple(ops), variables, dies)
 
 
 def reference_is_2_roach(frame):

@@ -95,6 +95,23 @@ def test_fine_jankov_round_trips(capsys):
     assert fm.parse(out.strip()) == fm.fine_jankov(R.builtin("F1"))
 
 
+def test_fine_jankov_takes_frames_up_to_its_ceiling(capsys):
+    code, out, _ = run_cli(capsys, "fine-jankov", "builtin:chain64")
+    assert code == 0 and out.count("->") > 64
+
+
+def test_fine_jankov_refuses_a_frame_above_its_ceiling(capsys, monkeypatch):
+    from roachkit import formulas as fm
+
+    def refuse(frame):
+        raise AssertionError("fine_jankov called above the ceiling")
+
+    monkeypatch.setattr(fm, "fine_jankov", refuse)
+    code, out, err = run_cli(capsys, "fine-jankov", "builtin:chain65")
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_unravel_willow(capsys):
     code, out, _ = run_cli(capsys, "unravel", "builtin:two_fork", "--mode", "willow")
     data = json.loads(out)

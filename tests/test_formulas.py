@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import relabel
+from conftest import eliminate_diamonds, modal_depth, relabel
 from roachkit import formulas as fm
 from roachkit import frames as F
 from roachkit import semantics as S
@@ -123,7 +123,7 @@ def test_bd_structure():
     for n in range(1, 6):
         bd = fm.axiom("bd", n)
         assert fm.variables(bd) == tuple(sorted(f"p{i}" for i in range(1, n + 1)))
-        depths.append(fm.modal_depth(bd))
+        depths.append(modal_depth(bd))
     assert depths == [n + 1 for n in range(1, 6)]
     assert depths == sorted(depths)
 
@@ -140,7 +140,7 @@ def test_unknown_axiom():
 def test_diamond_elimination_is_explicit():
     phi = fm.Diamond(fm.Var("p"))
     assert fm.render(phi) == "<>p"
-    assert fm.eliminate_diamonds(phi) == fm.Not(fm.Box(fm.Not(fm.Var("p"))))
+    assert eliminate_diamonds(phi) == fm.Not(fm.Box(fm.Not(fm.Var("p"))))
     # parsing never rewrites diamonds
     assert fm.parse("<>p") == phi
 
@@ -154,7 +154,7 @@ def test_diamond_elimination_preserves_meaning():
         valuation = {name: set(rng.sample(range(frame.size), rng.randint(0, frame.size)))
                      for name in ("p", "q")}
         model = S.Model(frame, valuation)
-        assert S.extension(model, phi) == S.extension(model, fm.eliminate_diamonds(phi))
+        assert S.extension(model, phi) == S.extension(model, eliminate_diamonds(phi))
 
 
 def test_fine_jankov_fails_on_its_own_frame():
@@ -295,10 +295,10 @@ def test_walks_do_not_recurse_on_deep_unary_chains(cls, text):
         deep = cls(deep)
     modal = 0 if cls is fm.Not else 5000
     assert fm.render(deep) == text * 5000 + "p"
-    assert fm.modal_depth(deep) == modal
-    plain = fm.eliminate_diamonds(deep)
+    assert modal_depth(deep) == modal
+    plain = eliminate_diamonds(deep)
     assert fm.render(plain) == ("~[]~" if cls is fm.Diamond else text) * 5000 + "p"
-    assert fm.modal_depth(plain) == modal
+    assert modal_depth(plain) == modal
 
 
 def test_render_does_not_recurse_on_deep_binary_chains():

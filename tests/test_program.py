@@ -1,7 +1,8 @@
 import random
 from pathlib import Path
 
-from conftest import reference_compile_formula
+from conftest import reference_compile_formula, reference_dying_slots
+from roachkit import _scan_py
 from roachkit import decision as D
 from roachkit import formulas as fm
 from roachkit import frames as F
@@ -66,6 +67,21 @@ def test_compiler_matches_the_recursive_reference_on_random_formulas():
         assert program == reference_compile_formula(phi)
         shared += len(program.ops) < _tree_size(phi)
     assert shared >= 300, shared  # 330: the rest share no subformula
+
+
+def test_one_chunk_steps_free_the_reference_dying_slots(monkeypatch):
+    rng = random.Random(43)
+    formulas = _perfbench_formulas(monkeypatch)
+    for _ in range(1000):
+        names = [f"p{i}" for i in range(rng.randint(1, 4))]
+        formulas.append(_formula_with_repeats(rng, names, rng.randint(1, 14)))
+    for phi in formulas:
+        program = compile_formula(phi)
+        dying = reference_dying_slots(program.ops)
+        for n_worlds in (1, 4):
+            steps = _scan_py._one_chunk_plan(program, n_worlds)
+            assert [step[1] for step in steps] == list(range(len(program.ops)))
+            assert tuple(tuple(sorted(step[5])) for step in steps) == dying
 
 
 def _tree_size(phi):

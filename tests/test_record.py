@@ -63,7 +63,6 @@ def test_record_semantics(obj):
     cls = type(obj)
     names = cls.__match_args__
     values = tuple(getattr(obj, name) for name in names)
-    compared = tuple(getattr(obj, name) for name in names if name != "plans")
     # equal copies from positional and from keyword arguments
     for copy in (cls(*values), cls(**dict(zip(names, values)))):
         assert copy == obj and not copy != obj
@@ -74,7 +73,7 @@ def test_record_semantics(obj):
             assert obj != other and not obj == other
     assert obj.__eq__(object()) is NotImplemented
     try:
-        expected = hash(compared)
+        expected = hash(values)
     except TypeError:  # a Model's valuation is a dict
         with pytest.raises(TypeError):
             hash(obj)
@@ -111,16 +110,6 @@ def test_default_factory_gives_each_instance_its_own_value():
     f1 = R.builtin("F1")
     first, second = S.Model(f1), S.Model(f1)
     assert first.valuation == {} and first.valuation is not second.valuation
-    program = P.compile_formula(fm.parse("p"))
-    copy = P.Program(program.ops, program.variables, program.dies)
-    assert copy.plans == {} and copy.plans is not program.plans
-
-
-def test_plans_take_no_part_in_equality_hash_or_repr():
-    program = P.compile_formula(fm.parse("[]p -> <>p"))
-    other = P.Program(program.ops, program.variables, program.dies, {3: "plan"})
-    assert other == program and hash(other) == hash(program)
-    assert repr(other) == repr(program) and "plans" not in repr(program)
 
 
 def test_post_init_still_validates():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import OrderedDict
 
 import pytest
@@ -376,5 +377,22 @@ def test_one_program_scans_alike_on_every_world_count():
             if program.n_vars * f.size <= 8:
                 assert (index < 0) == naive_frame_validates(f, phi)
                 oracle_checked += 1
-        assert sorted(program.plans) == list(range(1, 7))
+        assert sorted(program.__dict__["_one_chunk_plans"]) == list(range(1, 7))
     assert oracle_checked == 126, oracle_checked
+
+
+def test_one_chunk_scan_frees_dead_slots():
+    # 970 slots of 8 KB items at 8 worlds: about 58 MB if no slot is freed
+    rng = random.Random(19)
+    phi = fm.conj([_random_formula(rng, 7, ["p", "q"]) for _ in range(200)])
+    program = compile_formula(phi)
+    chain = builtin("chain", 8)
+    assert len(program.ops) > 900 and program.n_vars * chain.size == 16
+    tracemalloc.start()
+    try:
+        index = _scan_py.find_refuting_index(chain.up, chain.size, program)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert index == 0
+    assert peak < 16 << 20, peak
