@@ -20,19 +20,6 @@ _MISSING = object()
 _setattr = object.__setattr__
 
 
-class _Field:
-    __slots__ = ("default_factory",)
-
-    def __init__(self, default_factory):
-        self.default_factory = default_factory
-
-
-def field(*, default_factory):
-    """A field whose default is ``default_factory()``, called anew for each
-    instance."""
-    return _Field(default_factory)
-
-
 def _binder(qualname, names, defaults):
     """``bind(args, kwargs)``: the full list of field values of a call that
     does not pass every field positionally, with the defaults filled in."""
@@ -47,8 +34,7 @@ def _binder(qualname, names, defaults):
             if name in kwargs:
                 values.append(kwargs.pop(name))
             elif name in defaults:
-                default = defaults[name]
-                values.append(default.default_factory() if type(default) is _Field else default)
+                values.append(defaults[name])
             else:
                 raise TypeError(f"{qualname}() missing required argument {name!r}")
         for name in kwargs:
@@ -66,9 +52,7 @@ def record(cls):
     defaults = {}
     for name in names:
         value = body.get(name, _MISSING)
-        if type(value) is _Field:
-            delattr(cls, name)
-        elif value is _MISSING:
+        if value is _MISSING:
             if defaults:
                 raise TypeError(f"non-default field {name!r} follows a default field")
             continue

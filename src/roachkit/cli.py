@@ -20,110 +20,97 @@ from . import roach as R
 from . import semantics as S
 from .errors import PreconditionError, RoachkitError
 
-# a size is 1 to 9 ASCII digits: any longer one is far above the frame limit,
-# and int() refuses more than 4,300 digits
-_PARAM_BUILTIN_RE = re.compile(r"^(T|chain)([0-9]{1,9})$")
-_BARE_BUILTIN_RE = re.compile(r"^(F1|F2|F3|G|point|two_fork|T[0-9]{1,9}|chain[0-9]{1,9})$")
+# a built-in frame name; the size of T<n> and chain<k> is 1 to 9 ASCII
+# digits: any longer one is far above the frame limit, and int() refuses more
+# than 4,300 digits
+_BUILTIN_RE = re.compile(r"(?:F1|F2|F3|G|point|two_fork|(T|chain)([0-9]{1,9}))$")
 
 # largest frame ``fine-jankov`` prints the formula of: an n-world frame formula
 # has 2n^2 - n + 1 clauses, about 142 KB of text at 64 worlds and 6 MB at 400
 _FINE_JANKOV_CEILING = 64
 
 
-def _builtin_frame(name: str) -> F.Frame:
-    match = _PARAM_BUILTIN_RE.match(name)
-    if match:
-        return R.builtin(match.group(1), int(match.group(2)))
-    return R.builtin(name)
-
-
 def resolve_frame(arg: str, strict: bool = False) -> F.Frame:
-    if arg.startswith("builtin:"):
-        return _builtin_frame(arg[len("builtin:"):])
-    if _BARE_BUILTIN_RE.match(arg) and not os.path.exists(arg):
-        return _builtin_frame(arg)
+    name = arg.removeprefix("builtin:")
+    match = _BUILTIN_RE.match(name)
+    if name != arg or (match and not os.path.exists(arg)):
+        if match and match.group(1):
+            return R.builtin(match.group(1), int(match.group(2)))
+        return R.builtin(name)
     if arg == "-":
         return F.frame_from_json(sys.stdin.read(), strict)
     with open(arg, "r", encoding="utf-8") as handle:
         return F.frame_from_json(handle.read(), strict)
 
 
+def _emit(args, payload, text: str) -> int:
+    """Print the JSON payload under ``--json`` and the text otherwise; exit 0."""
+    print(json.dumps(payload) if args.json else text)
+    return 0
+
+
 def cmd_check(args) -> int:
     frame = resolve_frame(args.frame, args.strict)
-    memberships = {}
-    first = None
+    # a splitting point of depth <= n has depth <= n + 1, so R1 in R2 in ... in
+    # R5, and the least bound with a certificate settles every class
     for n in range(1, 6):
         cert = R.splitting_certificate(frame, n)
-        memberships[f"R{n}"] = cert is not None
-        if cert is not None and first is None:
-            first = (n, cert)
-    willow = R.is_willow_tree(frame)
-    if args.json:
-        out = {"memberships": memberships, "willow": willow is not None}
-        if first:
-            out["splitting_point"] = first[1].s
-            out["t_map"] = list(first[1].t)
-        if willow:
-            out["willow_splitting_point"] = willow.certificate.s
-        print(json.dumps(out))
-        return 0
-    two = memberships["R2"]
-    print("2-roach" if two else "not a 2-roach")
+        if cert is not None:
+            break
+    memberships = {f"R{n}": cert is not None and cert.bound <= n for n in range(1, 6)}
     classes = [name for name, member in memberships.items() if member]
-    print("classes:", ", ".join(classes) if classes else "(none up to R5)")
-    if first:
-        print(f"splitting point: {frame.label(first[1].s)} (world {first[1].s})")
-    print("willow tree" if willow else "not a willow tree")
-    if not two:
-        print("forbidden-configuration witness available: run the witness command")
-    return 0
+    willow = R.is_willow_tree(frame)
+    payload = {"memberships": memberships, "willow": willow is not None}
+    lines = ["2-roach" if memberships["R2"] else "not a 2-roach",
+             "classes: " + (", ".join(classes) if classes else "(none up to R5)")]
+    if cert is not None:
+        payload["splitting_point"] = cert.s
+        payload["t_map"] = list(cert.t)
+        lines.append(f"splitting point: {frame.label(cert.s)} (world {cert.s})")
+    if willow is not None:
+        payload["willow_splitting_point"] = willow.certificate.s
+    lines.append("willow tree" if willow is not None else "not a willow tree")
+    if not memberships["R2"]:
+        lines.append("forbidden-configuration witness available: run the witness command")
+    return _emit(args, payload, "\n".join(lines))
 
 
 def cmd_witness(args) -> int:
     frame = resolve_frame(args.frame, args.strict)
     witness = R.minimal_forbidden_witness(frame)
+    mapping = list(witness.morphism.mapping)
     payload = {
         "which": witness.which,
         "generator": witness.generator,
         "embedding": list(witness.embedding),
-        "map": list(witness.morphism.mapping),
+        "map": mapping,
         "target": F.frame_to_dict(witness.morphism.target),
     }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(f"forbidden configuration {witness.which} is a p-morphic image of the "
-              f"subframe generated at world {witness.generator}")
-        print(f"map (subframe world -> {witness.which} world): {list(witness.morphism.mapping)}")
-    return 0
+    return _emit(args, payload,
+                 f"forbidden configuration {witness.which} is a p-morphic image of the "
+                 f"subframe generated at world {witness.generator}\n"
+                 f"map (subframe world -> {witness.which} world): {mapping}")
 
 
 def cmd_morphism_find(args) -> int:
     source = resolve_frame(args.source, args.strict)
     target = resolve_frame(args.target, args.strict)
     pm = M.find_onto_p_morphism(source, target)
-    if args.json:
-        print(json.dumps({"map": list(pm.mapping) if pm else None}))
-    else:
-        print(" ".join(map(str, pm.mapping)) if pm else "none")
-    return 0
+    if pm is None:
+        return _emit(args, {"map": None}, "none")
+    return _emit(args, {"map": list(pm.mapping)}, " ".join(map(str, pm.mapping)))
 
 
 def cmd_permissible(args) -> int:
     config = resolve_frame(args.config, args.strict)
     host = resolve_frame(args.host, args.strict)
     found = M.is_permissible(config, host)
-    if args.json:
-        out = None
-        if found:
-            out = {"generator": found.generator, "embedding": list(found.embedding),
-                   "map": list(found.morphism.mapping)}
-        print(json.dumps({"witness": out}))
-    elif found:
-        print(f"permissible: generator {found.generator}, map {list(found.morphism.mapping)}")
-    else:
-        print("none")
-    return 0
+    if found is None:
+        return _emit(args, {"witness": None}, "none")
+    mapping = list(found.morphism.mapping)
+    payload = {"generator": found.generator, "embedding": list(found.embedding), "map": mapping}
+    return _emit(args, {"witness": payload},
+                 f"permissible: generator {found.generator}, map {mapping}")
 
 
 def cmd_eval(args) -> int:
@@ -131,35 +118,29 @@ def cmd_eval(args) -> int:
     phi = fm.parse(args.formula)
     valuation = {}
     if args.valuation:
-        raw = json.loads(args.valuation)
-        if not isinstance(raw, dict) or not all(
-            isinstance(ws, list) and all(isinstance(w, int) for w in ws)
-            for ws in raw.values()
-        ):
+        try:
+            valuation = json.loads(args.valuation)
+        except (ValueError, RecursionError) as exc:
+            raise RoachkitError(f"invalid JSON: {exc}") from None
+        # the worlds in each list are checked by Model
+        if not isinstance(valuation, dict) or not all(
+                isinstance(worlds, list) for worlds in valuation.values()):
             raise RoachkitError('valuation must look like {"p": [0, 2]}')
-        valuation = {name: set(worlds) for name, worlds in raw.items()}
     result = sorted(S.extension(S.Model(frame, valuation), phi))
-    print(json.dumps(result) if args.json else " ".join(map(str, result)) or "(empty)")
-    return 0
+    return _emit(args, result, " ".join(map(str, result)) or "(empty)")
 
 
 def cmd_validate(args) -> int:
     frame = resolve_frame(args.frame, args.strict)
     phi = fm.parse(args.formula)
     refutation = S.find_refutation(frame, phi)
-    if args.json:
-        out = {"valid": refutation is None}
-        if refutation is not None:
-            valuation, world = refutation
-            out["valuation"] = {k: sorted(v) for k, v in valuation.items()}
-            out["world"] = world
-        print(json.dumps(out))
-    elif refutation is None:
-        print("valid")
-    else:
-        valuation, world = refutation
-        print(f"invalid at world {world} under {{{', '.join(f'{k}: {sorted(v)}' for k, v in valuation.items())}}}")
-    return 0
+    if refutation is None:
+        return _emit(args, {"valid": True}, "valid")
+    valuation, world = refutation
+    worlds = {k: sorted(v) for k, v in valuation.items()}
+    shown = ", ".join(f"{k}: {v}" for k, v in worlds.items())
+    return _emit(args, {"valid": False, "valuation": worlds, "world": world},
+                 f"invalid at world {world} under {{{shown}}}")
 
 
 def cmd_fine_jankov(args) -> int:
@@ -167,9 +148,8 @@ def cmd_fine_jankov(args) -> int:
     if frame.size > _FINE_JANKOV_CEILING:
         raise PreconditionError(
             f"fine-jankov takes frames of at most {_FINE_JANKOV_CEILING} worlds, not {frame.size}")
-    chi = fm.fine_jankov(frame)
-    print(json.dumps({"formula": fm.render(chi)}) if args.json else fm.render(chi))
-    return 0
+    formula = fm.render(fm.fine_jankov(frame))
+    return _emit(args, {"formula": formula}, formula)
 
 
 def cmd_unravel(args) -> int:
@@ -185,25 +165,16 @@ def cmd_unravel(args) -> int:
 def cmd_decide(args) -> int:
     phi = fm.parse(args.formula)
     verdict = decision.decide_lr2(phi, args.bound)
-    if isinstance(verdict, decision.Refuted):
-        payload = {
-            "verdict": "refuted",
-            "frame": F.frame_to_dict(verdict.model.frame),
-            "valuation": {k: sorted(v) for k, v in verdict.model.valuation.items()},
-            "world": verdict.world,
-        }
-        if args.json:
-            print(json.dumps(payload))
-        else:
-            print(f"Refuted on a {verdict.model.frame.size}-world 2-roach at world {verdict.world}")
-            print(json.dumps(payload["frame"]))
-            print("valuation:", json.dumps(payload["valuation"]))
-    else:
-        if args.json:
-            print(json.dumps({"verdict": "no-countermodel", "bound": verdict.bound}))
-        else:
-            print(f"NoCountermodelUpTo({verdict.bound})")
-    return 0
+    if not isinstance(verdict, decision.Refuted):
+        return _emit(args, {"verdict": "no-countermodel", "bound": verdict.bound},
+                     f"NoCountermodelUpTo({verdict.bound})")
+    model, world = verdict.model, verdict.world
+    frame = F.frame_to_dict(model.frame)
+    valuation = {k: sorted(v) for k, v in model.valuation.items()}
+    payload = {"verdict": "refuted", "frame": frame, "valuation": valuation, "world": world}
+    return _emit(args, payload,
+                 f"Refuted on a {model.frame.size}-world 2-roach at world {world}\n"
+                 f"{json.dumps(frame)}\nvaluation: {json.dumps(valuation)}")
 
 
 def cmd_enumerate(args) -> int:
@@ -219,31 +190,21 @@ def cmd_enumerate(args) -> int:
 
 def cmd_ordinal_classify(args) -> int:
     gamma = O.parse_ordinal(args.ordinal)
-    logic = O.classify_beta_logic(gamma)
-    alpha1 = gamma.least_exponent()
+    logic = O.classify_beta_logic(gamma).describe()
     decomposition = None
-    if not alpha1.is_zero():
+    note = "compact: the compactification is the ordinal itself"
+    if not gamma.least_exponent().is_zero():
         gamma_prime, a1 = O.tear_off(gamma)
         decomposition = {"gamma_prime": str(gamma_prime), "alpha_1": str(a1)}
-    if args.json:
-        print(json.dumps({"ordinal": str(gamma), "logic": logic.describe(),
-                          "tear_off": decomposition}))
-    else:
-        print(logic.describe())
-        if decomposition:
-            print(f"tear-off: gamma' = {decomposition['gamma_prime']}, "
-                  f"alpha_1 = {decomposition['alpha_1']}")
-        else:
-            print("compact: the compactification is the ordinal itself")
-    return 0
+        note = f"tear-off: gamma' = {gamma_prime}, alpha_1 = {a1}"
+    return _emit(args, {"ordinal": str(gamma), "logic": logic, "tear_off": decomposition},
+                 f"{logic}\n{note}")
 
 
 def cmd_ordinal_logic_of(args) -> int:
     gamma = O.parse_ordinal(args.ordinal)
-    logic = O.logic_of_ordinal_space(gamma)
-    print(json.dumps({"ordinal": str(gamma), "logic": logic.short()}) if args.json
-          else logic.short())
-    return 0
+    logic = O.logic_of_ordinal_space(gamma).short()
+    return _emit(args, {"ordinal": str(gamma), "logic": logic}, logic)
 
 
 def cmd_selftest(args) -> int:
@@ -255,14 +216,10 @@ def cmd_selftest(args) -> int:
         names = ", ".join(name for name, _ in acceptance.CRITERIA)
         print(f"unknown criterion {args.only!r}; known: {names}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps([
-            {"name": r.name, "passed": r.passed, "detail": r.detail,
-             "seconds": round(r.seconds, 3)} for r in results
-        ]))
-    else:
-        for r in results:
-            print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail} ({r.seconds:.2f}s)")
+    payload = [{"name": r.name, "passed": r.passed, "detail": r.detail,
+                "seconds": round(r.seconds, 3)} for r in results]
+    _emit(args, payload, "\n".join(
+        f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail} ({r.seconds:.2f}s)" for r in results))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -346,14 +303,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except RoachkitError as exc:
+    except (RoachkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 1
 
 

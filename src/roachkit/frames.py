@@ -659,9 +659,11 @@ def frame_from_json(text: str, strict: bool = False) -> Frame:
     """The frame of a frame-JSON object.  The relation must already be
     closed when ``strict`` is set or the object's ``"strict"`` field is
     true; otherwise ``le`` lists generator edges."""
+    # besides malformed text, json.loads raises ValueError for an integer past
+    # int's digit limit and RecursionError for deep nesting
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FrameFormatError(f"invalid frame JSON: {exc}") from None
     if not isinstance(data, dict) or "size" not in data or "le" not in data:
         raise FrameFormatError('frame JSON needs "size" and "le" fields')
@@ -682,6 +684,12 @@ def frame_from_json(text: str, strict: bool = False) -> Frame:
     if labels is not None and (not isinstance(labels, list) or len(labels) != size
                                or not all(isinstance(x, str) for x in labels)):
         raise FrameFormatError(f'"labels" must be a list of {size} strings')
+    # a JSON escape such as "\ud800" reads as a lone surrogate, which no
+    # UTF-8 output can print
+    try:
+        "".join(labels or ()).encode()
+    except UnicodeEncodeError:
+        raise FrameFormatError('"labels" must not hold lone surrogates') from None
     strict_field = data.get("strict", False)
     if not isinstance(strict_field, bool):
         raise FrameFormatError(f'"strict" must be true or false, got {strict_field!r}')

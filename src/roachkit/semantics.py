@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Collection
 
-from ._record import field, record
+from ._record import record
 from . import formulas as fm
 from ._program import compile_formula
 from . import _scan_py
@@ -36,7 +36,7 @@ def _scan(up, n_worlds, program, _unused=None):
 @record
 class Model:
     frame: Frame
-    valuation: dict = field(default_factory=dict)
+    valuation: dict
 
     def __post_init__(self):
         # checked before any bit shift: a negative world would raise
@@ -142,6 +142,8 @@ def find_refutation(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET)
     holds = extension_mask(Model(frame, valuation), phi)
     full = (1 << frame.size) - 1
     missing = full & ~holds
+    if not missing:
+        raise AssertionError(f"valuation {index} of the scan refutes the formula at no world")
     world = (missing & -missing).bit_length() - 1
     return valuation, world
 

@@ -222,6 +222,56 @@ def test_domain_error_exit_code(capsys):
         assert len(err.strip().splitlines()) == 1, argv
 
 
+def test_json_past_the_parser_limits_exits_1_in_one_line(tmp_path, capsys, monkeypatch):
+    # an integer of more than 4,300 digits makes json.loads raise a plain
+    # ValueError, and deep nesting a RecursionError
+    import io
+    big = "1" * 5000
+    deep = "[" * 100000 + "]" * 100000
+    path = tmp_path / "frame.json"
+    for text in ('{"size": 2, "le": [[0, %s]]}' % big, '{"size": %s, "le": []}' % big,
+                 '{"size": 2, "le": %s}' % deep):
+        path.write_text(text)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        for argv in (["check", str(path)], ["check", "-", "--json"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == "", argv
+            assert err.startswith("error: invalid frame JSON: ") and err.count("\n") == 1, argv
+    for valuation in ('{"p": [%s]}' % big, "[" * 1100 + "]" * 1100):
+        code, out, err = run_cli(capsys, "eval", "builtin:F1", "--formula", "p",
+                                 "--valuation", valuation)
+        assert code == 1 and out == ""
+        assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
+
+
+def test_valuation_worlds_are_checked_by_the_model(capsys):
+    for worlds, shown in (("[true]", "True"), ("[1.5]", "1.5"), ('["x"]', "'x'"),
+                          ("[[0]]", "[0]"), ("[null]", "None")):
+        code, out, err = run_cli(capsys, "eval", "builtin:F1", "--formula", "p",
+                                 "--valuation", '{"p": %s}' % worlds)
+        assert code == 1 and out == ""
+        assert err == f"error: valuation of 'p' mentions {shown}, not a world of 0..3\n"
+
+
+def test_check_stops_at_the_first_bound_with_a_certificate(capsys, monkeypatch):
+    bounds = []
+    search = R.splitting_certificate
+
+    def recording(frame, bound):
+        bounds.append(bound)
+        return search(frame, bound)
+
+    monkeypatch.setattr(R, "splitting_certificate", recording)
+    for name, searched, classes in (("chain3", [1], "R1, R2, R3, R4, R5"),
+                                    ("two_fork", [1, 2], "R2, R3, R4, R5"),
+                                    ("T3", [1, 2, 3, 4], "R4, R5"),
+                                    ("G", [1, 2, 3, 4, 5], "(none up to R5)")):
+        bounds.clear()
+        code, out, _ = run_cli(capsys, "check", f"builtin:{name}")
+        assert code == 0 and f"classes: {classes}\n" in out
+        assert bounds == searched, name
+
+
 def test_unreadable_frame_path_exits_1(tmp_path, capsys):
     code, out, err = run_cli(capsys, "check", str(tmp_path))  # a directory
     assert code == 1 and out == ""
@@ -235,6 +285,22 @@ def test_bad_labels_exit_1(tmp_path, capsys):
     path.write_text('{"size": 2, "le": [[0, 1]], "labels": 5}')
     code, _, err = run_cli(capsys, "check", str(path))
     assert code == 1 and "labels" in err
+
+
+def test_unprintable_label_exits_1_in_one_line():
+    # a fresh interpreter, whose UTF-8 stdout cannot encode a lone surrogate
+    src = os.path.dirname(os.path.dirname(roachkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for labels in ('["\\ud800"]', '["\\udfff"]'):
+        proc = subprocess.run([sys.executable, "-m", "roachkit.cli", "check", "-"],
+                              input='{"size": 1, "le": [], "labels": %s}' % labels,
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1 and proc.stdout == "", labels
+        assert proc.stderr == 'error: "labels" must not hold lone surrogates\n'
+    proc = subprocess.run([sys.executable, "-m", "roachkit.cli", "check", "-"],
+                          input='{"size": 1, "le": [], "labels": ["\\ud83d\\ude00"]}',
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and "splitting point: \U0001f600 (world 0)" in proc.stdout
 
 
 def test_deep_formulas_exit_1_in_one_line():

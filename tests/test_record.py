@@ -44,7 +44,7 @@ def _samples():
         S.Model(f1, {"p": {1}}), pm, M.Violation("forth", (0, 1)),
         M.Permissibility(0, (0, 1, 2, 3), pm), C.UnravelResult(f1, pm), cert,
         R.ForbiddenWitness("F1", 0, (0, 1, 2, 3), pm), R.WillowEvidence(cert, ()),
-        D.Refuted(S.Model(f1), 0), D.NoCountermodelUpTo(3), O.parse_ordinal("w^2 + 1"),
+        D.Refuted(S.Model(f1, {}), 0), D.NoCountermodelUpTo(3), O.parse_ordinal("w^2 + 1"),
         O.LogicId("Meet", left=ln, right=O.LogicId("S412")),
         A.CriterionResult("decide", True, "exact", 0.5),
     ]
@@ -104,12 +104,6 @@ def test_match_args_name_the_fields_in_order():
             assert name == "p"
         case _:
             pytest.fail("positional class pattern did not match")
-
-
-def test_default_factory_gives_each_instance_its_own_value():
-    f1 = R.builtin("F1")
-    first, second = S.Model(f1), S.Model(f1)
-    assert first.valuation == {} and first.valuation is not second.valuation
 
 
 def test_post_init_still_validates():

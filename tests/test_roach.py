@@ -86,6 +86,17 @@ def test_splitting_certificate_f1():
     assert R.verify_splitting(f1, cert)
 
 
+def test_verify_splitting_rejects_malformed_certificates():
+    f1 = R.builtin("F1")
+    cert = R.splitting_certificate(f1, 3)
+    assert R.verify_splitting(f1, cert)
+    for bad in (R.SplittingCertificate(cert.s, 3, cert.t + (0,)),  # t too long
+                R.SplittingCertificate(cert.s, 3, cert.t[:-1]),  # t too short
+                R.SplittingCertificate(-3, 3, cert.t),  # would index from the end
+                R.SplittingCertificate(f1.size, 3, cert.t)):  # no such world
+        assert R.verify_splitting(f1, bad) is False, bad
+
+
 def test_splitting_certificate_g_never():
     g = R.builtin("G")
     for n in range(1, 6):

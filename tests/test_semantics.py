@@ -122,6 +122,14 @@ def test_budget_exceeded():
         S.find_refutation(builtin("F3"), fm.fine_jankov(builtin("F3")), budget=2 ** 10)
 
 
+def test_find_refutation_rejects_a_scan_index_that_refutes_nothing(monkeypatch):
+    # the re-check of the scanner's answer finds no refuted world: that is a
+    # scanner fault, not world -1
+    monkeypatch.setattr(S, "_scan", lambda up, n_worlds, program: 0)
+    with pytest.raises(AssertionError, match="at no world"):
+        S.find_refutation(builtin("F1"), fm.parse("[]p -> p"))
+
+
 def test_variable_free_formulas():
     f = builtin("F3")
     assert S.frame_validates(f, fm.parse("T -> T"))
