@@ -593,48 +593,58 @@ def _preorder_classes(n: int) -> tuple[Frame, ...]:
     return tuple(sorted(classes, key=canonical_key))
 
 
-def _filter_predicate(name: str):
-    if name == "all":
-        return lambda f: True
-    if name == "rooted":
-        return lambda f: classify_frame(f).rooted
-    if name == "s41-rooted":
-        return lambda f: classify_frame(f).rooted and classify_frame(f).s41
-    if name == "willow":
-        from . import roach
-
-        def is_willow(f):
-            flags = classify_frame(f)
-            return flags.rooted and flags.s41 and roach.is_willow_tree(f) is not None
-
-        return is_willow
-    raise ValueError(f"unknown filter {name!r}; expected one of {FILTER_NAMES}")
+@lru_cache(maxsize=None)
+def _rooted_classes(n: int) -> tuple[Frame, ...]:
+    """All rooted preorders on n worlds, one per isomorphism class, in
+    canonical order.  A rooted frame is its root cluster, the c worlds that
+    see every world, over a preorder on the other n - c worlds, and both
+    parts are unique.  So each class is a cluster on worlds 0..c-1 over one
+    class of ``_preorder_classes(n - c)``, or the single n-world cluster,
+    and no preorder on n worlds is built."""
+    full = (1 << n) - 1
+    classes = [_closed_frame(n, (full,) * c + tuple(mask << c for mask in rest.up))
+               for c in range(1, n) for rest in _preorder_classes(n - c)]
+    classes.append(_closed_frame(n, (full,) * n))
+    return tuple(sorted(classes, key=canonical_key))
 
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(n: int, filter_name: str) -> tuple[Frame, ...]:
-    if filter_name == "2-roach":
-        from . import roach
+    from . import roach
 
+    if filter_name == "all":
+        return _preorder_classes(n)
+    if filter_name == "rooted":
+        return _rooted_classes(n)
+    if filter_name == "s41-rooted":
+        return tuple(f for f in _rooted_classes(n) if classify_frame(f).s41)
+    if filter_name == "willow":
+        s41 = _enumerate_cached(n, "s41-rooted")
+        return tuple(f for f in s41 if roach.is_willow_tree(f) is not None)
+    if filter_name == "2-roach":
         return roach.two_roach_classes(n)
-    pred = _filter_predicate(filter_name)
-    return tuple(f for f in _preorder_classes(n) if pred(f))
+    raise ValueError(f"unknown filter {filter_name!r}; expected one of {FILTER_NAMES}")
 
 
 def enumerate_frames(n: int, filter_name: str = "all", ceiling: int = ENUMERATION_CEILING):
     """Yield one representative per isomorphism class of preorders on ``n``
     worlds satisfying the named filter, in canonical order.
 
-    The classes come from ``_preorder_classes``: each poset class is
-    expanded by the orbit-least cluster-size compositions under its
+    The ``all`` classes come from ``_preorder_classes``: each poset class
+    is expanded by the orbit-least cluster-size compositions under its
     automorphisms, the posets themselves grow over orbit-least downsets,
     and each class is keyed once, for the sort.
 
-    The ``2-roach`` classes are generated from their pieces
-    (``roach.two_roach_classes``), not filtered from the ``all`` classes:
-    they are the same classes in the same order, but for ``n >= 5`` a
-    representative may be labelled differently from the one the ``all``
-    enumeration holds for its class."""
+    The other filters are built from classes on fewer worlds, not
+    filtered from the ``all`` classes on ``n``, so they reach one world
+    further.  The ``rooted`` classes put a root cluster over each class on
+    fewer worlds (``_rooted_classes``); ``s41-rooted`` keeps their S4.1
+    frames, and ``willow`` the willow trees among those.  The ``2-roach``
+    classes are generated from their pieces (``roach.two_roach_classes``).
+    Each filter gives the classes that filtering the ``all`` ones would, in
+    the same order; for ``2-roach`` at ``n >= 5`` a representative may be
+    labelled differently from the one the ``all`` enumeration holds for
+    its class."""
     if n < 1:
         raise CeilingExceededError("frame size must be at least 1")
     if n > ceiling:

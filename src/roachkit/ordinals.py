@@ -308,29 +308,3 @@ def classify_beta_logic(gamma: Ordinal) -> LogicId:
         return l_n(m)
     return meet(logic_of_ordinal_space(gamma_prime + ONE), l_n(m))
 
-
-def logic_leq(a: LogicId, b: LogicId) -> bool | None:
-    """Declared containment (a included in b) for the fragment of the
-    lattice the classifiers can emit; None when the order is not recorded.
-
-    The recorded chain: S4.1 < L_inf < ... < L_2 < L_1 = S4.1.2.
-    """
-    def ln_rank(x: LogicId):
-        if x.kind == "S412":
-            return 1
-        if x.kind == "LN":
-            return x.n
-        if x.kind == "LInf":
-            return float("inf")
-        if x.kind == "S41":
-            return None  # below everything in the chain
-        return "outside"
-
-    ra, rb = ln_rank(a), ln_rank(b)
-    if ra == "outside" or rb == "outside":
-        return None
-    if ra is None:
-        return True
-    if rb is None:
-        return a.kind == "S41"
-    return ra >= rb

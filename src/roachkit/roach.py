@@ -26,6 +26,7 @@ from .frames import (
     Frame,
     _closed_frame,
     _preorder_classes,
+    _rooted_classes,
     canonical_key,
     classify_frame,
     cluster_masks,
@@ -184,9 +185,11 @@ def two_roach_classes(n: int) -> tuple[Frame, ...]:
     below s.  Each maximum m_i has a tail: a possibly empty preorder whose
     worlds see m_i and no other maximum.  R sees the tails through an
     antitone map from its worlds to upsets of their union, and its root
-    sees every tail world.  Every piece has fewer than n worlds, so no
-    preorder on n worlds is built.  Candidates are laid out as R, s, the
-    tails, the maxima, and the first candidate of each class is kept.
+    sees every tail world.  Candidates are laid out as R, s, the tails, the
+    maxima, and the first candidate of each class is kept.  The rooted
+    pieces come from ``frames._rooted_classes``, which builds them from
+    smaller classes in turn, so no preorder class on more than n - 2 worlds
+    is built.
     """
     if n == 1:
         return (Frame(1, (1,)),)
@@ -194,11 +197,6 @@ def two_roach_classes(n: int) -> tuple[Frame, ...]:
     for frame in itertools.chain(_one_maximum(n), _several_maxima(n)):
         reps.setdefault(canonical_key(frame), frame)
     return tuple(reps[key] for key in sorted(reps))
-
-
-def _rooted_classes(m: int) -> list[Frame]:
-    full = (1 << m) - 1
-    return [frame for frame in _preorder_classes(m) if full in frame.up]
 
 
 def _one_maximum(n: int):

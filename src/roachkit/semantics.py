@@ -13,7 +13,6 @@ build step and no compiler.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Collection
 
 from ._record import record
 from . import formulas as fm
@@ -40,10 +39,11 @@ class Model:
 
     def __post_init__(self):
         # checked before any bit shift: a negative world would raise
-        # ValueError, a huge one exhaust memory, and True would read as 1
+        # ValueError, a huge one exhaust memory, and True would read as 1;
+        # a dict would pass its keys off as the worlds
         size = self.frame.size
         for name, worlds in self.valuation.items():
-            if not isinstance(worlds, Collection):
+            if not isinstance(worlds, (set, frozenset, list, tuple)):
                 raise FrameFormatError(f"valuation of {name!r} is {worlds!r}, not a set of worlds")
             for w in worlds:
                 if type(w) is not int or not 0 <= w < size:

@@ -558,6 +558,33 @@ def eliminate_diamonds(phi: fm.Formula) -> fm.Formula:
     return done[id(phi)]
 
 
+def logic_leq(a: O.LogicId, b: O.LogicId) -> bool | None:
+    """Declared containment (a included in b) for the fragment of the
+    lattice the classifiers can emit; None when the order is not recorded.
+
+    The recorded chain: S4.1 < L_inf < ... < L_2 < L_1 = S4.1.2.
+    """
+    def ln_rank(x: O.LogicId):
+        if x.kind == "S412":
+            return 1
+        if x.kind == "LN":
+            return x.n
+        if x.kind == "LInf":
+            return float("inf")
+        if x.kind == "S41":
+            return None  # below everything in the chain
+        return "outside"
+
+    ra, rb = ln_rank(a), ln_rank(b)
+    if ra == "outside" or rb == "outside":
+        return None
+    if ra is None:
+        return True
+    if rb is None:
+        return a.kind == "S41"
+    return ra >= rb
+
+
 def naive_frame_validates(frame, phi):
     """Validity by looping over every valuation one at a time."""
     names = fm.variables(phi)
@@ -1081,6 +1108,26 @@ def reference_2_roach_filter(frame):
     against this filter over the ``all`` classes."""
     flags = classify_frame(frame)
     return flags.rooted and flags.s41 and R.is_2_roach(frame) is not None
+
+
+def reference_filter(name):
+    """The enumeration filter ``name`` as a predicate on any frame.  The
+    enumeration builds the ``rooted``, ``s41-rooted``, ``willow`` and
+    ``2-roach`` classes from classes on fewer worlds, and is tested against
+    these predicates over the ``all`` classes."""
+    if name == "rooted":
+        return lambda f: classify_frame(f).rooted
+    if name == "s41-rooted":
+        return lambda f: classify_frame(f).rooted and classify_frame(f).s41
+    if name == "willow":
+        def is_willow(f):
+            flags = classify_frame(f)
+            return flags.rooted and flags.s41 and R.is_willow_tree(f) is not None
+
+        return is_willow
+    if name == "2-roach":
+        return reference_2_roach_filter
+    raise ValueError(f"unknown filter {name!r}")
 
 
 def reference_decide_lr2(phi, bound):

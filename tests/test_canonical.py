@@ -170,9 +170,12 @@ def test_closed_frames_pass_the_frame_check(monkeypatch):
         F._posets.__wrapped__(n)
         F._preorder_classes.__wrapped__(n)
         before = len(built)
+        F._rooted_classes.__wrapped__(n)
+        assert len(built) - before == 1 + sum(len(F._preorder_classes(m)) for m in range(1, n))
+        before = len(built)
         R.two_roach_classes(n)
         assert n < 3 or len(built) > before
-    assert {size for size, _ in built} == set(range(2, 7))
+    assert {size for size, _ in built} == set(range(1, 7))
     for size, up in built:
         assert F.Frame(size, up).up == up
 

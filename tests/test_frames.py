@@ -2,6 +2,7 @@ import gc
 import json
 import random
 import weakref
+from functools import lru_cache
 
 import pytest
 
@@ -10,14 +11,15 @@ from conftest import (
     naive_depths,
     naive_preorder_classes,
     random_frames,
-    reference_2_roach_filter,
     reference_clusters_and_skeleton,
+    reference_filter,
     reference_pairs,
     reference_quasi_tree,
     reference_worlds_of,
 )
 from roachkit import formulas as fm
 from roachkit import frames as F
+from roachkit import roach as R
 from roachkit.errors import CeilingExceededError, FrameFormatError
 from roachkit.roach import builtin
 
@@ -340,9 +342,64 @@ def test_enumeration_matches_naive_oracle(n):
     oracle = naive_preorder_classes(n)
     assert len(oracle) == len(list(F.enumerate_frames(n)))
     for filt in ("rooted", "s41-rooted", "2-roach", "willow"):
-        pred = reference_2_roach_filter if filt == "2-roach" else F._filter_predicate(filt)
-        expected = sorted(naive_canonical_key(f) for f in oracle if pred(f))
+        expected = sorted(naive_canonical_key(f) for f in oracle if reference_filter(filt)(f))
         assert [naive_canonical_key(f) for f in F.enumerate_frames(n, filt)] == expected
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_built_filters_give_the_filtered_all_classes(n):
+    # frame for frame and in order, what filtering every class on n worlds
+    # gives; the decomposition puts the root cluster first, as the poset
+    # growth does
+    classes = list(F.enumerate_frames(n, ceiling=7))
+    for filt in ("rooted", "s41-rooted", "willow"):
+        expected = [(f.size, f.up) for f in classes if reference_filter(filt)(f)]
+        assert [(f.size, f.up) for f in F.enumerate_frames(n, filt, ceiling=7)] == expected
+
+
+# OEIS A001930: preorder classes on 1, 2, ... worlds
+A001930 = (1, 3, 9, 33, 139, 718, 4535, 35979)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rooted_class_counts(n):
+    # one class per root cluster size c < n and class on the other n - c
+    # worlds, and the single cluster
+    frames = list(F.enumerate_frames(n, "rooted", ceiling=8))
+    assert len(frames) == 1 + sum(A001930[:n - 1])
+    assert all(F.classify_frame(f).rooted for f in frames)
+    keys = [F.canonical_key(f) for f in frames]
+    assert keys == sorted(set(keys))
+
+
+def test_rooted_classes_and_2_roaches_come_from_smaller_classes(monkeypatch):
+    # the rooted classes on n worlds build no preorder class on n worlds,
+    # and the 2-roaches none on n - 1 or n
+    expected = {n: ([(f.size, f.up) for f in F.enumerate_frames(n, "rooted", ceiling=7)],
+                    [(f.size, f.up) for f in R.two_roach_classes(n)]) for n in range(2, 8)}
+    real = F._preorder_classes
+    limit = [0]
+
+    def guarded(m):
+        assert m < limit[0], f"built the preorder classes on {m} worlds"
+        return real(m)
+
+    for n in range(2, 8):
+        # fresh caches, so every class list is built under the guard
+        builder = lru_cache(maxsize=None)(F._rooted_classes.__wrapped__)
+        for module in (F, R):
+            monkeypatch.setattr(module, "_preorder_classes", guarded)
+            monkeypatch.setattr(module, "_rooted_classes", builder)
+        monkeypatch.setattr(F, "_enumerate_cached", lru_cache(maxsize=None)(F._enumerate_cached.__wrapped__))
+        limit[0] = n
+        rooted = [(f.size, f.up) for f in F.enumerate_frames(n, "rooted", ceiling=7)]
+        limit[0] = n - 1
+        assert (rooted, [(f.size, f.up) for f in R.two_roach_classes(n)]) == expected[n]
+
+
+def test_unknown_filter_name_raises():
+    with pytest.raises(ValueError, match="unknown filter 'trees'"):
+        list(F.enumerate_frames(3, "trees"))
 
 
 def test_enumeration_yields_distinct_classes():

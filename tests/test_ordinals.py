@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import reference_logic_of_ordinal_space
+from conftest import logic_leq, reference_logic_of_ordinal_space
 from roachkit import formulas as fm
 from roachkit import ordinals as O
 from roachkit.errors import FormulaSyntaxError, PreconditionError
@@ -198,12 +198,12 @@ def test_classify_meet_respects_black_bullet_constraint():
 
 
 def test_logic_chain_order_metadata():
-    assert O.logic_leq(O.l_n(3), O.l_n(2))
-    assert not O.logic_leq(O.l_n(2), O.l_n(3))
-    assert O.logic_leq(O.l_n(1), O.S412) and O.logic_leq(O.S412, O.l_n(1))
-    assert O.logic_leq(O.LINF, O.l_n(4))
-    assert O.logic_leq(O.S41, O.LINF)
-    assert O.logic_leq(O.S4GRZ, O.l_n(1)) is None
+    assert logic_leq(O.l_n(3), O.l_n(2))
+    assert not logic_leq(O.l_n(2), O.l_n(3))
+    assert logic_leq(O.l_n(1), O.S412) and logic_leq(O.S412, O.l_n(1))
+    assert logic_leq(O.LINF, O.l_n(4))
+    assert logic_leq(O.S41, O.LINF)
+    assert logic_leq(O.S4GRZ, O.l_n(1)) is None
 
 
 def test_describe_strings():

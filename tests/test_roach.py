@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -237,6 +239,18 @@ def test_generated_2_roaches_are_the_filtered_classes(n, expected):
     if n <= 4:
         # the representatives, and so decide's countermodels, are unchanged
         assert [f.up for f in generated] == [f.up for f in filtered]
+
+
+# SHA-256 of json.dumps([(f.size, f.up) for n in 1..8 for f in
+# two_roach_classes(n)]): every representative and its position.
+# decide_lr2 scans these frames in this order, so a change here changes
+# its countermodels.
+TWO_ROACH_SHA256 = "1d23c9f32271685f32b715514fb10585fc0656ddd6f7da215b7c6e9ab82bdbce"
+
+
+def test_two_roach_representatives_are_pinned():
+    data = [(f.size, f.up) for n in range(1, 9) for f in R.two_roach_classes(n)]
+    assert hashlib.sha256(json.dumps(data).encode()).hexdigest() == TWO_ROACH_SHA256
 
 
 def test_minimal_witness_identity_cases():

@@ -46,6 +46,17 @@ def test_model_rejects_out_of_range_valuation():
             S.Model(builtin("point"), {"p": worlds})
 
 
+def test_model_takes_only_sets_lists_and_tuples_of_worlds():
+    # a dict's keys, a string's characters or a range's members are no
+    # valuation entry, even when they name worlds
+    f1 = builtin("F1")
+    for worlds in ({0: "x", 2: "y"}, {0: 0}, "02", range(2), b"\x00"):
+        with pytest.raises(FrameFormatError):
+            S.Model(f1, {"p": worlds})
+    for worlds in ({0, 2}, frozenset({0, 2}), [0, 2], (2, 0)):
+        assert S.extension(S.Model(f1, {"p": worlds}), fm.Var("p")) == {0, 2}
+
+
 def test_box_extension_is_upset_diamond_is_downset():
     rng = random.Random(5)
     frames = [f for n in range(2, 5) for f in F.enumerate_frames(n)]
