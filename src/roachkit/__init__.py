@@ -13,13 +13,10 @@ from .frames import (  # noqa: F401
     are_isomorphic,
     classify_frame,
     clusters_and_skeleton,
-    depth,
     enumerate_frames,
     frame_from_json,
-    frame_to_json,
     generated_subframe,
     normalize_frame,
-    order_query,
 )
 from .morphisms import (  # noqa: F401
     PMorphism,
@@ -34,6 +31,5 @@ from .roach import (  # noqa: F401
     is_willow_tree,
     minimal_forbidden_witness,
     splitting_certificate,
-    unique_splitting_point,
 )
 from .semantics import Model, extension, find_refutation, frame_validates  # noqa: F401

@@ -84,42 +84,16 @@ def check_minimality() -> tuple[bool, str]:
     return failures == 0, f"{total} non-2-roaches, {failures} failures"
 
 
-def _random_two_roaches(count, sizes, seed=20260810):
-    rng = random.Random(seed)
-    found = []
-    seen = set()
-    attempts = 0
-    while len(found) < count and attempts < 200000:
-        attempts += 1
-        n = rng.choice(sizes)
-        pairs = []
-        for u in range(n):
-            for v in range(n):
-                if u != v and rng.random() < 0.3:
-                    pairs.append((u, v))
-        f = F.normalize_frame(pairs, n)
-        flags = F.classify_frame(f)
-        if not (flags.rooted and flags.s41):
-            continue
-        if R.is_2_roach(f) is None:
-            continue
-        key = F.canonical_key(f)
-        if key in seen:
-            continue
-        seen.add(key)
-        found.append(f)
-    return found
-
-
 def check_unraveling() -> tuple[bool, str]:
-    """Every 2-roach with at most 5 worlds, plus 50 random 6- and 7-world
-    2-roaches, unravels to a willow tree with a verified onto morphism."""
+    """Every 2-roach with at most 5 worlds, plus a seeded sample of 50 of the
+    6- and 7-world 2-roach classes, unravels to a willow tree with a verified
+    onto morphism."""
     failures = 0
     total = 0
-    randoms = _random_two_roaches(50, (6, 7))
+    larger = [f for n in (6, 7) for f in F.enumerate_frames(n, "2-roach", ceiling=7)]
+    sample = random.Random(20260810).sample(larger, 50)
     pool = [f for n in range(1, 6) for f in F.enumerate_frames(n, "2-roach")]
-    pool += randoms
-    for f in pool:
+    for f in pool + sample:
         total += 1
         result = construct.roach_to_willow(f)
         ok = (
@@ -130,9 +104,8 @@ def check_unraveling() -> tuple[bool, str]:
         )
         if not ok:
             failures += 1
-    enough = len(randoms) == 50
-    detail = f"{total} 2-roaches ({len(randoms)} random 6-7 world), {failures} failures"
-    return failures == 0 and enough, detail
+    detail = f"{total} 2-roaches ({len(sample)} random 6-7 world), {failures} failures"
+    return failures == 0, detail
 
 
 def check_closure() -> tuple[bool, str]:

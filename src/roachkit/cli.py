@@ -235,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         if needs_frame:
             p.add_argument("frame", help="builtin:<name>, a JSON file path, or - for stdin")
-        p.add_argument("--json", action="store_true")
         p.add_argument("--strict", action="store_true",
                        help="reject frame files whose relation is not already closed")
         p.set_defaults(fn=fn)
@@ -270,30 +269,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="bounded countermodel search over 2-roaches")
     p.add_argument("--formula", required=True)
     p.add_argument("--bound", type=int, default=4)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_decide)
 
     p = sub.add_parser("enumerate", help="frames up to isomorphism")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--filter", choices=F.FILTER_NAMES, default="all")
     p.add_argument("--count", action="store_true", help="print only the class count")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("ordinal-classify", help="logic of the compactified ordinal")
     p.add_argument("ordinal", help='e.g. "w^w + w^2*3 + 1"')
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_ordinal_classify)
 
     p = sub.add_parser("ordinal-logic-of", help="logic of the ordinal space itself")
     p.add_argument("ordinal")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_ordinal_logic_of)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     p.add_argument("--only", help="run a single named criterion")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_selftest)
+
+    # unravel and enumerate print JSON always; the others print through _emit
+    for name, p in sub.choices.items():
+        if name not in ("unravel", "enumerate"):
+            p.add_argument("--json", action="store_true")
 
     return parser
 

@@ -27,18 +27,6 @@ class Formula:
 
     __slots__ = ()
 
-    def __and__(self, other):
-        return And(self, other)
-
-    def __or__(self, other):
-        return Or(self, other)
-
-    def __invert__(self):
-        return Not(self)
-
-    def __rshift__(self, other):
-        return Implies(self, other)
-
     def __str__(self):
         return render(self)
 

@@ -196,25 +196,8 @@ def _union(masks, seed_mask: int) -> int:
     return acc
 
 
-def upset_mask(frame: Frame, seed_mask: int) -> int:
-    return _union(frame.up, seed_mask)
-
-
 def downset_mask(frame: Frame, seed_mask: int) -> int:
     return _union(down_masks(frame), seed_mask)
-
-
-def order_query(frame: Frame, seed, direction: str) -> set[int]:
-    """Upward or downward closure of a set of worlds."""
-    seed = set(seed)
-    for w in seed:
-        if not 0 <= w < frame.size:
-            raise FrameFormatError(f"world {w} out of range")
-    if direction == "up":
-        return set(worlds_of(upset_mask(frame, mask_of(seed))))
-    if direction == "down":
-        return set(worlds_of(downset_mask(frame, mask_of(seed))))
-    raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
 
 
 def cluster_masks(frame: Frame) -> tuple[int, ...]:
@@ -247,12 +230,6 @@ def clusters_and_skeleton(frame: Frame):
 def depth_vector(frame: Frame) -> tuple[int, ...]:
     """Depth of each world: longest strictly ascending chain of clusters."""
     return _order_views(frame)[2]
-
-
-def depth(frame: Frame, w: int) -> int:
-    if not 0 <= w < frame.size:
-        raise FrameFormatError(f"world {w} out of range")
-    return depth_vector(frame)[w]
 
 
 def frame_depth(frame: Frame) -> int:
@@ -659,10 +636,6 @@ def frame_to_dict(frame: Frame) -> dict:
     if frame.labels:
         data["labels"] = list(frame.labels)
     return data
-
-
-def frame_to_json(frame: Frame) -> str:
-    return json.dumps(frame_to_dict(frame))
 
 
 def frame_from_json(text: str, strict: bool = False) -> Frame:

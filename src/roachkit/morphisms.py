@@ -16,9 +16,6 @@ class PMorphism:
     target: Frame
     mapping: tuple[int, ...]
 
-    def __call__(self, w: int) -> int:
-        return self.mapping[w]
-
 
 @record
 class Violation:

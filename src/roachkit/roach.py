@@ -248,17 +248,6 @@ def _with_tails(body: Frame, tails: tuple[tuple[int, ...], ...]):
         yield _closed_frame(n, tuple(up))
 
 
-def unique_splitting_point(frame: Frame) -> int:
-    """The unique depth-2 splitting point of a 2-roach that is not already
-    an S4.1.2 frame."""
-    cert = is_2_roach(frame)
-    if cert is None:
-        raise PreconditionError("frame is not a 2-roach")
-    if classify_frame(frame).s412:
-        raise PreconditionError("frame has a single maximal point; splitting points are not unique")
-    return cert.s
-
-
 @record
 class WillowEvidence:
     certificate: SplittingCertificate

@@ -33,7 +33,6 @@ from roachkit.frames import (
     downset_mask,
     generated_subframe,
     mask_of,
-    upset_mask,
     worlds_of,
 )
 from roachkit.morphisms import PMorphism, check_p_morphism, identity_morphism, verified_morphism
@@ -833,9 +832,9 @@ class CollapseError(RoachkitError, ValueError):
 def _block_modes(frame: Frame, block_mask: int) -> bool:
     """Whether a block is collapsible: an upset, or singleton-cluster worlds
     sharing one strict upset."""
-    if upset_mask(frame, block_mask) == block_mask:
-        return True
     worlds = worlds_of(block_mask)
+    if all(not frame.up[w] & ~block_mask for w in worlds):
+        return True
     cmasks = cluster_masks(frame)
     strict = None
     for w in worlds:

@@ -145,7 +145,7 @@ def test_builtin_resolution_round_trip(capsys):
 
 def test_frame_file_and_stdin(tmp_path, capsys, monkeypatch):
     path = tmp_path / "frame.json"
-    path.write_text(F.frame_to_json(R.builtin("F2")))
+    path.write_text(json.dumps(F.frame_to_dict(R.builtin("F2"))))
     code, out, _ = run_cli(capsys, "check", str(path))
     assert code == 0 and "not a 2-roach" in out
 
@@ -374,6 +374,16 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["unravel", "builtin:two_fork", "--json"],
+                                  ["enumerate", "--size", "2", "--json"]])
+def test_json_flag_only_where_output_has_a_text_form(argv, capsys):
+    # unravel and enumerate print JSON whatever the flags
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 def test_deterministic_output(capsys):

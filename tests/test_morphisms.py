@@ -203,16 +203,18 @@ def test_composition_of_verified_morphisms_verifies():
 def test_upset_images_and_preimages():
     source, target = builtin("T", 2), builtin("F1")
     pm = M.find_onto_p_morphism(source, target)
+
+    def is_upset(frame, mask):
+        return all(frame.up[w] & ~mask == 0 for w in F.worlds_of(mask))
+
     for mask in range(1 << source.size):
-        worlds = set(F.worlds_of(mask))
-        if F.order_query(source, worlds, "up") == worlds:
-            image = {pm.mapping[w] for w in worlds}
-            assert F.order_query(target, image, "up") == image
+        if is_upset(source, mask):
+            image = F.mask_of(pm.mapping[w] for w in F.worlds_of(mask))
+            assert is_upset(target, image)
     for mask in range(1 << target.size):
-        worlds = set(F.worlds_of(mask))
-        if F.order_query(target, worlds, "up") == worlds:
-            preimage = {w for w in source.worlds() if pm.mapping[w] in worlds}
-            assert F.order_query(source, preimage, "up") == preimage
+        if is_upset(target, mask):
+            preimage = F.mask_of(w for w in source.worlds() if mask >> pm.mapping[w] & 1)
+            assert is_upset(source, preimage)
 
 
 def test_permissible_self():

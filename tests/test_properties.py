@@ -1,5 +1,7 @@
 """Property tests: formula text, frame JSON and ordinal text round-trip."""
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,7 +84,7 @@ def frames(draw):
 @settings(max_examples=100, deadline=None)
 @given(frames())
 def test_frame_json_round_trips(frame):
-    assert F.frame_from_json(F.frame_to_json(frame)) == frame
+    assert F.frame_from_json(json.dumps(F.frame_to_dict(frame))) == frame
 
 
 def _normal_form(terms):

@@ -29,8 +29,7 @@ def test_builtin_point():
 
 def test_builtin_f3_depths():
     f3 = R.builtin("F3")
-    assert F.depth(f3, 0) == 3
-    assert F.depth(f3, 1) == 2 and F.depth(f3, 2) == 2
+    assert F.depth_vector(f3)[:3] == (3, 2, 2)
 
 
 def test_builtin_g_is_f2():
@@ -169,10 +168,6 @@ def test_t_k_first_appears_at_bound_k_plus_one():
         assert cert is not None and cert.s == 0
 
 
-def test_unique_splitting_point_two_fork():
-    assert R.unique_splitting_point(R.builtin("two_fork")) == 0
-
-
 def test_splitting_points_not_unique_with_single_maximum():
     # with one maximal point, both the maximum and a singleton-cluster
     # depth-2 point qualify; uniqueness only holds outside that case
@@ -181,19 +176,25 @@ def test_splitting_points_not_unique_with_single_maximum():
     assert [s for s, _ in R.splitting_points(chain3, 1)] == [2]
 
 
-def test_unique_splitting_point_rejects_single_maximum():
-    with pytest.raises(PreconditionError):
-        R.unique_splitting_point(R.builtin("chain", 3))
-    with pytest.raises(PreconditionError):
-        R.unique_splitting_point(R.builtin("F3"))
-
-
-def test_unique_splitting_point_willow_with_body():
+def test_splitting_point_willow_with_body():
     # a willow tree with one body point below the splitting point
     f = F.normalize_frame([(0, 1), (1, 2), (1, 3)], 4)
-    assert R.unique_splitting_point(f) == 1
+    assert R.is_2_roach(f).s == 1
     # uniqueness: no other world passes the splitting conditions at depth 2
     assert [s for s, _ in R.splitting_points(f, 2)] == [1]
+
+
+def test_splitting_point_unique_outside_s412():
+    # with at least two maximal points a 2-roach has exactly one depth-2
+    # splitting point, the one its certificate names
+    checked = 0
+    for n in range(1, 8):
+        for f in F.enumerate_frames(n, "2-roach", ceiling=7):
+            if F.classify_frame(f).s412:
+                continue
+            assert [s for s, _ in R.splitting_points(f, 2)] == [R.is_2_roach(f).s]
+            checked += 1
+    assert checked == 94
 
 
 def test_is_willow_tree_two_fork():

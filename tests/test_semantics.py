@@ -18,7 +18,7 @@ def test_extension_diamond_is_downclosure_on_f1():
     f1 = builtin("F1")  # r < v < m1, r < m2
     model = S.Model(f1, {"p": {2}})
     assert S.extension(model, fm.parse("<>p")) == {0, 1, 2}
-    assert S.extension(model, fm.parse("<>p")) == F.order_query(f1, {2}, "down")
+    assert S.extension(model, fm.parse("<>p")) == set(F.worlds_of(F.downset_mask(f1, 1 << 2)))
 
 
 def test_extension_top_is_everything():
@@ -66,8 +66,8 @@ def test_box_extension_is_upset_diamond_is_downset():
         model = S.Model(f, valuation)
         box = S.extension(model, fm.parse("[]p"))
         dia = S.extension(model, fm.parse("<>p"))
-        assert F.order_query(f, box, "up") == box
-        assert F.order_query(f, dia, "down") == dia
+        assert all(set(F.worlds_of(f.up[w])) <= box for w in box)
+        assert F.downset_mask(f, F.mask_of(dia)) == F.mask_of(dia)
         assert dia == set(f.worlds()) - S.extension(model, fm.parse("[]~p"))
 
 
