@@ -113,6 +113,14 @@ def test_downset_mask_idempotent_and_extensive():
                 assert all(f.up[w] & down == 0 for w in F.worlds_of(full & ~down))
 
 
+def test_up_masks_are_extensive_and_closed():
+    for n in range(1, 5):
+        for f in F.enumerate_frames(n):
+            for w in range(f.size):
+                assert f.up[w] >> w & 1
+                assert all(f.up[v] & ~f.up[w] == 0 for v in F.worlds_of(f.up[w]))
+
+
 def test_clusters_of_f2():
     partition, skeleton, pi = F.clusters_and_skeleton(builtin("F2"))
     assert sorted(map(sorted, partition)) == [[0, 1], [2], [3]]

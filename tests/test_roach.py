@@ -168,6 +168,23 @@ def test_t_k_first_appears_at_bound_k_plus_one():
         assert cert is not None and cert.s == 0
 
 
+def test_splitting_point_two_fork():
+    two_fork = R.builtin("two_fork")
+    assert not F.classify_frame(two_fork).s412
+    assert [s for s, _ in R.splitting_points(two_fork, 2)] == [R.is_2_roach(two_fork).s] == [0]
+
+
+def test_splitting_point_lemma_preconditions():
+    # the uniqueness lemma needs a 2-roach with two maximal points: chain3
+    # has one maximum and two depth-2 splitting points, F3 is no 2-roach
+    chain3 = R.builtin("chain", 3)
+    assert F.classify_frame(chain3).s412
+    assert [s for s, _ in R.splitting_points(chain3, 2)] == [1, 2]
+    f3 = R.builtin("F3")
+    assert R.is_2_roach(f3) is None
+    assert list(R.splitting_points(f3, 2)) == []
+
+
 def test_splitting_points_not_unique_with_single_maximum():
     # with one maximal point, both the maximum and a singleton-cluster
     # depth-2 point qualify; uniqueness only holds outside that case
