@@ -9,12 +9,14 @@ size bound is known, so a clean search up to the bound is reported as
 
 from __future__ import annotations
 
+from itertools import islice
+
 from ._record import record
 from . import formulas as fm
 from . import morphisms, roach
 from .errors import BudgetExceededError, CeilingExceededError
 from .frames import enumerate_frames
-from .semantics import Model, extension_mask, find_refutation
+from .semantics import Model, batch_size, extension_mask, find_batch_refutation, find_refutation
 
 DECISION_CEILING = 8
 
@@ -55,26 +57,38 @@ def decide_lr2(phi: fm.Formula, bound: int) -> Verdict:
     valuations than the scan's budget is the countermodel read off the map
     instead (see ``_refutation_by_map``); any other formula too big to scan
     raises ``BudgetExceededError``.
+
+    The first frame of a size is scanned alone, so a query refuted there
+    pays for no batch; the rest go in batches of ``batch_size``, each in one
+    pass of the scanner, and a batch of one goes through ``find_refutation``.
+    The verdict is the one of scanning frame by frame in enumeration order.
     """
     if bound < 1 or bound > DECISION_CEILING:
         raise CeilingExceededError(f"bound must lie in 1..{DECISION_CEILING}")
     config = fm.jankov_frame(phi)
     for size in range(1, bound + 1):
-        for frame in enumerate_frames(size, "2-roach", ceiling=DECISION_CEILING):
-            witness = None
-            if config is not None:
-                witness = morphisms.is_permissible(config, frame)
-                if witness is None:
-                    continue
-            try:
-                refutation = find_refutation(frame, phi)
-            except BudgetExceededError:
-                refutation = None if witness is None else _refutation_by_map(frame, phi, witness)
-                if refutation is None:
-                    raise
-            if refutation is not None:
-                valuation, world = refutation
+        frames = iter(enumerate_frames(size, "2-roach", ceiling=DECISION_CEILING))
+        if config is not None:
+            frames = (frame for frame in frames if morphisms.is_permissible(config, frame))
+        per_pass = 1
+        for frame in frames:
+            batch = [frame, *islice(frames, per_pass - 1)]
+            if len(batch) > 1:
+                found = find_batch_refutation(batch, phi)
+            else:
+                try:
+                    found = find_refutation(frame, phi)
+                except BudgetExceededError:
+                    # the map of the permissibility check gives the countermodel
+                    witness = None if config is None else morphisms.is_permissible(config, frame)
+                    found = None if witness is None else _refutation_by_map(frame, phi, witness)
+                    if found is None:
+                        raise
+                found = found and (frame, *found)
+            if found is not None:
+                frame, valuation, world = found
                 return Refuted(Model(frame, valuation), world)
+            per_pass = batch_size(phi, size)
     return NoCountermodelUpTo(bound)
 
 

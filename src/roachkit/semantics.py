@@ -5,9 +5,10 @@ Boxes read as Alexandroff interior, diamonds as closure: the extension of
 ``<>phi`` holds wherever some successor satisfies ``phi``.
 
 Frame validity enumerates every valuation.  One kernel does it:
-``_scan_py.find_refuting_index``, a chunked bit-parallel scan on Python big
-integers that returns the least refuting valuation index.  It needs no
-build step and no compiler.
+``_scan_py.find_batch_refuting_index``, a chunked bit-parallel scan on
+Python big integers that returns the least refuting valuation index, on one
+frame or on a batch of frames of one size side by side.  It needs no build
+step and no compiler.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def _decode_valuation(index: int, variables, n_worlds: int) -> dict:
 # The programs of the latest few formulas that find_refutation compiled,
 # keyed by formula identity and compiler, the oldest evicted first.  A query
 # such as decide_lr2 scans one formula on many frames, and a census cycles
-# through a handful, so a few entries save recompiling per frame.  Formulas
+# through a handful, so a few entries save recompiling per frame or batch.  Formulas
 # are frozen, and each entry keeps a strong reference to its formula, so its
 # id is not reused while the entry lives; keying on the compiler as well
 # picks up a replaced ``compile_formula``.  The bound keeps a long run from
@@ -114,6 +115,25 @@ _PROGRAM_CACHE_SIZE = 8
 _programs: OrderedDict = OrderedDict()
 
 
+def _program(phi):
+    key = (id(phi), compile_formula)
+    entry = _programs.get(key)
+    if entry is None:
+        if len(_programs) >= _PROGRAM_CACHE_SIZE:
+            _programs.popitem(last=False)
+        entry = _programs[key] = (phi, compile_formula(phi))
+    return entry[1]
+
+
+def _refutation_at(frame, phi, program, index):
+    """The valuation of a scan index and the least world it refutes."""
+    valuation = _decode_valuation(index, program.variables, frame.size)
+    missing = ((1 << frame.size) - 1) & ~extension_mask(Model(frame, valuation), phi)
+    if not missing:
+        raise AssertionError(f"valuation {index} of the scan refutes the formula at no world")
+    return valuation, (missing & -missing).bit_length() - 1
+
+
 def find_refutation(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET):
     """Least refuting (valuation, world) pair, or None when valid.
 
@@ -122,30 +142,30 @@ def find_refutation(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET)
     formula on a frame by the morphism search first and scans only frames
     that refute it.
     """
-    key = (id(phi), compile_formula)
-    entry = _programs.get(key)
-    if entry is None:
-        if len(_programs) >= _PROGRAM_CACHE_SIZE:
-            _programs.popitem(last=False)
-        entry = _programs[key] = (phi, compile_formula(phi))
-    program = entry[1]
+    program = _program(phi)
     total = 1 << (program.n_vars * frame.size)
     if total > budget:
-        raise BudgetExceededError(
-            f"{program.n_vars} variables on {frame.size} worlds needs {total} valuations"
-            f" (budget {budget})"
-        )
+        raise BudgetExceededError(f"{program.n_vars} variables on {frame.size} worlds needs"
+                                  f" {total} valuations (budget {budget})")
     index = _scan(frame.up, frame.size, program)
+    return None if index < 0 else _refutation_at(frame, phi, program, index)
+
+
+def batch_size(phi: fm.Formula, n_worlds: int) -> int:
+    """How many frames of ``n_worlds`` worlds one pass of the scanner holds."""
+    return _scan_py.batch_size(_program(phi).n_vars * n_worlds, n_worlds)
+
+
+def find_batch_refutation(frames, phi: fm.Formula):
+    """Least refuting (frame, valuation, world) over frames of one size, the
+    first refuted frame first, or None when the formula is valid on each.
+    All of them are scanned in one pass: ``batch_size`` of them fit it."""
+    program, size = _program(phi), frames[0].size
+    index = _scan_py.find_batch_refuting_index([f.up for f in frames], size, program)
     if index < 0:
         return None
-    valuation = _decode_valuation(index, program.variables, frame.size)
-    holds = extension_mask(Model(frame, valuation), phi)
-    full = (1 << frame.size) - 1
-    missing = full & ~holds
-    if not missing:
-        raise AssertionError(f"valuation {index} of the scan refutes the formula at no world")
-    world = (missing & -missing).bit_length() - 1
-    return valuation, world
+    frame = frames[index >> (program.n_vars * size)]
+    return (frame, *_refutation_at(frame, phi, program, index & ((1 << program.n_vars * size) - 1)))
 
 
 def frame_validates(frame: Frame, phi: fm.Formula) -> bool:

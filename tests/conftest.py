@@ -595,6 +595,20 @@ def naive_frame_validates(frame, phi):
     return True
 
 
+def naive_least_refuting_index(frame, phi):
+    """Least valuation index refuting the formula on the frame, trying the
+    valuations one at a time in index order (variable v of the sorted names
+    true at world i when bit v*n+i of the index is set), or -1."""
+    names = fm.variables(phi)
+    n = frame.size
+    for index in range(1 << (len(names) * n)):
+        valuation = {name: {i for i in range(n) if (index >> (v * n + i)) & 1}
+                     for v, name in enumerate(names)}
+        if S.extension_mask(S.Model(frame, valuation), phi) != (1 << n) - 1:
+            return index
+    return -1
+
+
 def reference_compile_formula(phi):
     """``compile_formula`` as a recursive walk that shares subformulas by
     hashing formula nodes: a repeated subtree, equal by value, is emitted

@@ -112,6 +112,46 @@ def test_verdicts_match_the_search_over_filtered_classes():
     assert refuted_sizes == {1, 2, 3, 4, 5}
 
 
+def test_batched_search_matches_the_per_frame_scan():
+    # decide_lr2 scans the frames of a size in batches; the reference scans
+    # them one by one.  Seeded formulas of 0-4 variables, and the negated
+    # type of the root of a random model on a 2-roach, which is refuted on
+    # the frames with a world like it: often not the first of their size.
+    rng = random.Random(29)
+    bounds = {0: 6, 1: 6, 2: 6, 3: 5, 4: 4}
+    cases = []
+    for k in (0, 1, 2, 2, 3, 4):
+        names = [f"p{i}" for i in range(k)]
+        cases += [_random_formula(rng, rng.randint(1, 4), names) for _ in range(4)]
+        for _ in range(4 if k else 0):
+            frame = rng.choice([f for n in range(2, bounds[k] + 1)
+                                for f in F.enumerate_frames(n, "2-roach")])
+            valuation = {p: {w for w in frame.worlds() if rng.random() < 0.5} for p in names}
+            root = F.classify_frame(frame).roots[0]
+            cases.append(fm.Not(_type_formula(frame, valuation, root, rng.randint(2, 3))))
+    past_first = set()
+    for phi in cases:
+        bound = bounds[len(fm.variables(phi))]
+        verdict = D.decide_lr2(phi, bound)
+        assert repr(verdict) == repr(reference_scan_decide_lr2(phi, bound)), phi
+        if isinstance(verdict, D.Refuted) and verdict.model.frame.size > 2:
+            size = verdict.model.frame.size
+            first = next(F.enumerate_frames(size, "2-roach"))
+            if verdict.model.frame != first:
+                past_first.add(size)
+    assert past_first == {3, 4, 5, 6}, past_first
+
+
+def _random_formula(rng, depth, names):
+    if depth == 0 or rng.random() < 0.25:
+        return fm.Var(rng.choice(names)) if names else rng.choice([fm.Top(), fm.Bot()])
+    kind = rng.randrange(6)
+    if kind < 3:
+        return (fm.Not, fm.Box, fm.Diamond)[kind](_random_formula(rng, depth - 1, names))
+    left, right = _random_formula(rng, depth - 1, names), _random_formula(rng, depth - 1, names)
+    return (fm.And, fm.Or, fm.Implies)[kind - 3](left, right)
+
+
 def test_route_matches_the_scan_over_two_roaches(small_frames):
     # the bound per world count of F keeps each scan of chi_F small
     bounds = {1: 8, 2: 7, 3: 6, 4: 5}

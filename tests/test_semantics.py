@@ -4,7 +4,7 @@ from collections import OrderedDict
 
 import pytest
 
-from conftest import naive_frame_validates
+from conftest import naive_frame_validates, naive_least_refuting_index
 from roachkit import formulas as fm
 from roachkit import frames as F
 from roachkit import semantics as S
@@ -190,7 +190,7 @@ def test_pattern_table_bits_are_index_bits():
 
 def _random_formula(rng, depth, names):
     if depth == 0 or rng.random() < 0.25:
-        return fm.Var(rng.choice(names))
+        return fm.Var(rng.choice(names)) if names else rng.choice([fm.Top(), fm.Bot()])
     kind = rng.randrange(6)
     if kind == 0:
         return fm.Not(_random_formula(rng, depth - 1, names))
@@ -415,3 +415,107 @@ def test_one_chunk_scan_frees_dead_slots():
         tracemalloc.stop()
     assert index == 0
     assert peak < 16 << 20, peak
+
+
+def test_batched_one_chunk_scan_frees_dead_slots():
+    # the same 970 slots on a batch of sixteen 6-world 2-roaches side by side
+    # in one 2^16-bit chunk: about 46 MB if no slot is freed
+    rng = random.Random(19)
+    phi = fm.conj([_random_formula(rng, 7, ["p", "q"]) for _ in range(200)])
+    program = compile_formula(phi)
+    batch = [f.up for f in F.enumerate_frames(6, "2-roach")][16:32]
+    assert len(program.ops) > 900 and _scan_py.batch_size(program.n_vars * 6, 6) == 16
+    tracemalloc.start()
+    try:
+        index = _scan_py.find_batch_refuting_index(batch, 6, program)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert index == _scan_py.find_refuting_index(batch[0], 6, program) == 0
+    assert peak < 16 << 20, peak
+
+
+def _per_frame_least(indices, start):
+    """First (position, index) at or after ``start`` with a refuting index."""
+    return next(((p, j) for p, j in enumerate(indices) if p >= start and j >= 0), None)
+
+
+def _batched_least(frames, program, chunk_log2):
+    """Least refuting (position, index) when the frames are scanned in
+    batches of ``batch_size``, as ``decide_lr2`` scans them."""
+    n = frames[0].size
+    kn = program.n_vars * n
+    per = _scan_py.batch_size(kn, n, chunk_log2)
+    for start in range(0, len(frames), per):
+        batch = [f.up for f in frames[start:start + per]]
+        index = _scan_py.find_batch_refuting_index(batch, n, program, chunk_log2)
+        if index >= 0:
+            return start + (index >> kn), index & ((1 << kn) - 1)
+    return None
+
+
+def test_batched_scan_finds_the_per_frame_least_refutation():
+    # seeded formulas of 0-4 variables over every 2-roach of 1-6 worlds with
+    # k*n <= 12, each size's frames scanned from a few starting frames, so
+    # that the least refuting frame falls anywhere in a batch.  Chunks of
+    # 2^16, 2^8 and 2^3 bits hold many frames, a few, or one; the naive
+    # oracle checks every frame's least index where k*n <= 8.
+    rng = random.Random(23)
+    roaches = {n: list(F.enumerate_frames(n, "2-roach")) for n in range(1, 7)}
+    formulas = [fm.axiom(name) for name in ("ga", "grz", "ma")]
+    formulas += [fm.axiom("bd", 2), fm.axiom("bd", 3), fm.parse("[](p -> []p) -> (<>[]p -> []p)"),
+                 fm.parse("<>(p & <>~p) -> []<>q"), fm.parse("[]T"), fm.parse("<>F | ~[]F")]
+    formulas += [_random_formula(rng, rng.randint(1, 4), [f"p{i}" for i in range(k)])
+                 for k in (0, 1, 1, 2, 2, 3, 4) for _ in range(4)]
+    seen = {"past_start": 0, "inside_batch": 0, "batched": 0, "no_vars": 0, "oracle": 0}
+    for phi in formulas:
+        program = compile_formula(phi)
+        for n, frames in roaches.items():
+            kn = program.n_vars * n
+            if kn > 12:
+                continue
+            for chunk_log2 in (16, 8, 3):
+                if chunk_log2 == 3 and kn > 10:
+                    continue
+                indices = [_scan_py.find_refuting_index(f.up, n, program, chunk_log2)
+                           for f in frames]
+                if chunk_log2 == 16 and kn <= 8:
+                    assert indices == [naive_least_refuting_index(f, phi) for f in frames]
+                    seen["oracle"] += len(frames)
+                per = _scan_py.batch_size(kn, n, chunk_log2)
+                for start in sorted({len(frames) * t // 6 for t in range(6)}):
+                    want = _per_frame_least(indices, start)
+                    got = _batched_least(frames[start:], program, chunk_log2)
+                    assert got == (None if want is None else (want[0] - start, want[1]))
+                    seen["batched"] += per > 1 and len(frames) > start + 1
+                    if want is not None and want[0] > start:
+                        seen["past_start"] += 1
+                        seen["inside_batch"] += (want[0] - start) % per > 0
+                    seen["no_vars"] += program.n_vars == 0 and per > 1
+    # 74 past the starting frame, 46 of them inside a batch; 1,230 scans in
+    # batches of several frames, 276 of a variable-free formula
+    assert seen["past_start"] >= 70 and seen["inside_batch"] >= 40, seen
+    assert seen["batched"] >= 1200 and seen["no_vars"] >= 250 and seen["oracle"] == 2499, seen
+
+
+def test_batch_holds_one_frame_past_2_12_valuations():
+    assert [_scan_py.batch_size(kn, 6) for kn in (0, 3, 6, 12, 13, 16, 26)] == \
+        [1 << 13, 1 << 13, 1 << 10, 1 << 4, 1, 1, 1]
+    assert _scan_py.batch_size(12, 6, 8) == 1 and _scan_py.batch_size(4, 4, 8) == 1 << 4
+    # a block holds a whole byte and a row of up masks: 16 worlds need 16 bits
+    assert _scan_py.batch_size(0, 16) == 1 << 12
+
+
+def test_batch_tables_stay_bounded(monkeypatch):
+    # the tables of every batch of 2-roaches up to 8 worlds, one variable:
+    # each batch of the 8-world frames alone holds about 2^21 mask bits
+    monkeypatch.setattr(_scan_py, "_tables", OrderedDict())
+    program = compile_formula(fm.parse("[]p -> p"))
+    for n in range(3, 9):
+        frames = [f.up for f in F.enumerate_frames(n, "2-roach", ceiling=8)]
+        per = _scan_py.batch_size(n, n)
+        for start in range(0, len(frames), per):
+            assert _scan_py.find_batch_refuting_index(frames[start:start + per], n, program) == -1
+            held = sum(entry[2] for entry in _scan_py._tables.values())
+            assert held <= 1 << 22
+    assert held > 1 << 21 and len(_scan_py._tables) < 4
