@@ -16,7 +16,8 @@ from . import formulas as fm
 from . import morphisms, roach
 from .errors import BudgetExceededError, CeilingExceededError
 from .frames import enumerate_frames
-from .semantics import Model, batch_size, extension_mask, find_batch_refutation, find_refutation
+from .semantics import (Model, _least_refuted_world, batch_size, find_batch_refutation,
+                        find_refutation)
 
 DECISION_CEILING = 8
 
@@ -104,7 +105,5 @@ def _refutation_by_map(frame, phi, witness):
     valuation = {}
     for x, w in enumerate(witness.morphism.mapping):
         valuation.setdefault(f"p{w}", set()).add(witness.embedding[x])
-    missing = ((1 << frame.size) - 1) & ~extension_mask(Model(frame, valuation), phi)
-    if not missing:
-        return None
-    return valuation, (missing & -missing).bit_length() - 1
+    world = _least_refuted_world(frame, phi, valuation)
+    return None if world is None else (valuation, world)

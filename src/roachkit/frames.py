@@ -309,6 +309,15 @@ def _ranks(keys: list) -> list[int]:
     return [position[key] for key in keys]
 
 
+def _twin_keys(up, down, cluster) -> list[tuple[int, int, int]]:
+    """Per world, a key that exactly its twins share: its cluster mates, and
+    the incomparable worlds with its upset and downset once each drops
+    itself.  A world strictly below another never shares it, as its upset
+    without itself does not drop the other.  Swapping two twins is an
+    automorphism."""
+    return [(up[w] ^ c, down[w] ^ c, c if c & (c - 1) else 0) for w, c in enumerate(cluster)]
+
+
 def _twin_placements(classes: list, slots: list):
     """Every placement of the twin classes on the slots, one per multiset
     arrangement: each class takes its slots in increasing order, members in
@@ -349,11 +358,7 @@ def canonical_key(frame: Frame):
     b = n + 1  # every part of the first invariant lies in 0..n
     rank = _ranks([((depth[w] * b + len(succ[w])) * b + down[w].bit_count()) * b
                    + cluster[w].bit_count() for w in range(n)])
-    # twins share this key: cluster mates, and incomparable worlds with
-    # equal upsets and downsets once each drops itself; a world strictly
-    # below another never shares it, as its upset without itself does not
-    # drop the other
-    twin = [(up[w] ^ c, down[w] ^ c, c if c & (c - 1) else 0) for w, c in enumerate(cluster)]
+    twin = _twin_keys(up, down, cluster)
     twin_count = len(set(twin))
     count = max(rank) + 1
     if count != twin_count:
@@ -407,44 +412,6 @@ def _encode(succ, perm) -> int:
     return enc
 
 
-def automorphisms(frame: Frame) -> list[tuple[int, ...]]:
-    """Every automorphism of ``frame`` as a tuple ``g`` with ``g[w]`` the
-    image of world ``w``, in lexicographic order, so the identity is first.
-
-    A backtracking search that places the worlds in index order.  World
-    ``w`` goes only to an unused world with its (depth, upset size, downset
-    size) and with the same upset and downset among the worlds placed so
-    far.  The list has one entry per automorphism, so it is as long as the
-    group is large; it is not memoized.
-    """
-    n = frame.size
-    up = frame.up
-    succ, down, _, depth = _order_data(up)
-    signature = [(depth[w], len(succ[w]), down[w].bit_count()) for w in range(n)]
-    targets = [[v for v in range(n) if signature[v] == signature[w]] for w in range(n)]
-    found = []
-    g = [0] * n
-
-    def place(w: int, used: int):
-        if w == n:
-            found.append(tuple(g))
-            return
-        # the images of w's upset and downset among the placed worlds
-        img_up = img_down = 0
-        for u in range(w):
-            if (up[w] >> u) & 1:
-                img_up |= 1 << g[u]
-            if (down[w] >> u) & 1:
-                img_down |= 1 << g[u]
-        for v in targets[w]:
-            if not (used >> v) & 1 and up[v] & used == img_up and down[v] & used == img_down:
-                g[w] = v
-                place(w + 1, used | (1 << v))
-
-    place(0, 0)
-    return found
-
-
 def are_isomorphic(f: Frame, g: Frame) -> bool:
     if f.size != g.size:
         return False
@@ -474,39 +441,47 @@ def _downsets(frame: Frame) -> list[int]:
     return found
 
 
-def _orbit_least_downsets(poset: Frame):
-    """The downsets of ``poset`` that are least, as masks, in their orbit
-    under its automorphisms: a maximal element added over two downsets of
-    one orbit gives isomorphic posets."""
-    downsets = _downsets(poset)
-    group = automorphisms(poset)[1:]
-    if not group:
-        return downsets
-    bits = [[1 << v for v in g] for g in group]
-    kept = []
-    for dmask in downsets:
-        members = worlds_of(dmask)
-        if all(sum(map(b.__getitem__, members)) >= dmask for b in bits):
-            kept.append(dmask)
-    return kept
+def _twin_pairs(poset: Frame) -> list[tuple[int, int]]:
+    """Each world of ``poset`` that has a higher twin, with the next one.
+    Swapping two twins is an automorphism of ``poset``."""
+    pairs = []
+    last = {}
+    for w, key in enumerate(_twin_keys(poset.up, down_masks(poset), cluster_masks(poset))):
+        if key in last:
+            pairs.append((last[key], w))
+        last[key] = w
+    return pairs
+
+
+def _twin_least_downsets(poset: Frame) -> list[int]:
+    """The downsets of ``poset`` that hold no twin without every lower twin,
+    in increasing order.  Swapping a held twin for a lower one left out
+    gives a smaller downset, and an isomorphic growth over it."""
+    bits = [(1 << lower, 1 << higher) for lower, higher in _twin_pairs(poset)]
+    return [d for d in _downsets(poset)
+            if all(d & lower or not d & higher for lower, higher in bits)]
+
+
+def _classes(frames) -> tuple[Frame, ...]:
+    """The first of ``frames`` in each isomorphism class, in canonical-key
+    order."""
+    reps = {}
+    for frame in frames:
+        reps.setdefault(canonical_key(frame), frame)
+    return tuple(reps[key] for key in sorted(reps))
 
 
 @lru_cache(maxsize=None)
 def _posets(k: int) -> tuple[Frame, ...]:
     """All partial orders on k elements, one per isomorphism class, in
     canonical order.  Each class on k - 1 elements grows by a new maximal
-    element over one downset per automorphism orbit, the least; growths of
-    different parents can still be isomorphic, so they are deduped by key.
-    The class a parent and downset reach first is kept, as when every
-    downset was tried."""
+    element over each of its twin-least downsets, and the growths are
+    deduped by key.  The class a parent and downset reach first is kept,
+    as when every downset was tried."""
     if k == 1:
         return (Frame(1, (1,)),)
-    reps = {}
-    for smaller in _posets(k - 1):
-        for dmask in _orbit_least_downsets(smaller):
-            candidate = _extend_poset(smaller, dmask)
-            reps.setdefault(canonical_key(candidate), candidate)
-    return tuple(reps[key] for key in sorted(reps))
+    return _classes(_extend_poset(parent, dmask)
+                    for parent in _posets(k - 1) for dmask in _twin_least_downsets(parent))
 
 
 def _compositions(total: int, parts: int):
@@ -517,25 +492,16 @@ def _compositions(total: int, parts: int):
         yield tuple(map(operator.sub, bounds[1:], bounds))
 
 
-def _maps_below(sizes: tuple[int, ...], g: tuple[int, ...]) -> bool:
-    """Whether ``(sizes[g[0]], sizes[g[1]], ...)`` is lexicographically
-    below ``sizes``, compared in place without building it."""
-    for j, v in enumerate(g):
-        if sizes[v] != sizes[j]:
-            return sizes[v] < sizes[j]
-    return False
-
-
-def _orbit_least_compositions(poset: Frame, n: int):
+def _twin_least_compositions(poset: Frame, n: int):
     """The compositions of n into cluster sizes, one per element of
-    ``poset``, that are lexicographically least in their orbit under its
-    automorphisms, in ``_compositions`` order.  The composition ``s`` maps
-    to ``(s[g[0]], s[g[1]], ...)`` under ``g``."""
+    ``poset``, that give no twin a larger size than a higher twin, in
+    ``_compositions`` order.  Swapping the sizes of two such twins gives a
+    composition that comes before, and an isomorphic expansion."""
     compositions = _compositions(n, poset.size)
     if poset.size in (1, n):  # a single composition
         return compositions
-    group = automorphisms(poset)[1:]
-    return [s for s in compositions if not any(_maps_below(s, g) for g in group)]
+    pairs = _twin_pairs(poset)
+    return [s for s in compositions if all(s[lower] <= s[higher] for lower, higher in pairs)]
 
 
 def _expand(poset: Frame, sizes: tuple[int, ...]) -> Frame:
@@ -558,16 +524,12 @@ def _expand(poset: Frame, sizes: tuple[int, ...]) -> Frame:
 def _preorder_classes(n: int) -> tuple[Frame, ...]:
     """All preorders on n worlds, one per isomorphism class, in canonical
     order.  A class is its skeleton, a poset class P, with a cluster size
-    per element of P; two size compositions over P give the same class
-    exactly when an automorphism of P maps one onto the other.  So each
-    poset is expanded by the lexicographically least composition of each
-    orbit, the first that ``_compositions`` yields, every expansion is a
-    new class, and each class is keyed once, for the sort."""
-    classes = []
-    for k in range(1, n + 1):
-        for poset in _posets(k):
-            classes.extend(_expand(poset, sizes) for sizes in _orbit_least_compositions(poset, n))
-    return tuple(sorted(classes, key=canonical_key))
+    per element of P.  So each poset is expanded by its twin-least
+    compositions of n into cluster sizes, and the expansions are deduped by
+    key.  Each class is kept as first reached, at the least composition of
+    its orbit under the automorphisms of P."""
+    return _classes(_expand(poset, sizes) for k in range(1, n + 1) for poset in _posets(k)
+                    for sizes in _twin_least_compositions(poset, n))
 
 
 @lru_cache(maxsize=None)
@@ -582,7 +544,7 @@ def _rooted_classes(n: int) -> tuple[Frame, ...]:
     classes = [_closed_frame(n, (full,) * c + tuple(mask << c for mask in rest.up))
                for c in range(1, n) for rest in _preorder_classes(n - c)]
     classes.append(_closed_frame(n, (full,) * n))
-    return tuple(sorted(classes, key=canonical_key))
+    return _classes(classes)
 
 
 @lru_cache(maxsize=None)
@@ -608,9 +570,9 @@ def enumerate_frames(n: int, filter_name: str = "all", ceiling: int = ENUMERATIO
     worlds satisfying the named filter, in canonical order.
 
     The ``all`` classes come from ``_preorder_classes``: each poset class
-    is expanded by the orbit-least cluster-size compositions under its
-    automorphisms, the posets themselves grow over orbit-least downsets,
-    and each class is keyed once, for the sort.
+    is expanded by its twin-least cluster-size compositions, the posets
+    themselves grow over twin-least downsets, and the canonical key alone
+    dedupes both.
 
     The other filters are built from classes on fewer worlds, not
     filtered from the ``all`` classes on ``n``, so they reach one world

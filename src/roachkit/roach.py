@@ -24,10 +24,10 @@ from .errors import PreconditionError
 from .frames import (
     MAX_FRAME_WORLDS,
     Frame,
+    _classes,
     _closed_frame,
     _preorder_classes,
     _rooted_classes,
-    canonical_key,
     classify_frame,
     cluster_masks,
     depth_vector,
@@ -193,10 +193,7 @@ def two_roach_classes(n: int) -> tuple[Frame, ...]:
     """
     if n == 1:
         return (Frame(1, (1,)),)
-    reps = {}
-    for frame in itertools.chain(_one_maximum(n), _several_maxima(n)):
-        reps.setdefault(canonical_key(frame), frame)
-    return tuple(reps[key] for key in sorted(reps))
+    return _classes(itertools.chain(_one_maximum(n), _several_maxima(n)))
 
 
 def _one_maximum(n: int):

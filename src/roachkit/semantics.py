@@ -125,13 +125,20 @@ def _program(phi):
     return entry[1]
 
 
+def _least_refuted_world(frame, phi, valuation):
+    """The least world of ``frame`` where ``valuation`` refutes ``phi``, or
+    None when it refutes it nowhere."""
+    missing = ((1 << frame.size) - 1) & ~extension_mask(Model(frame, valuation), phi)
+    return (missing & -missing).bit_length() - 1 if missing else None
+
+
 def _refutation_at(frame, phi, program, index):
     """The valuation of a scan index and the least world it refutes."""
     valuation = _decode_valuation(index, program.variables, frame.size)
-    missing = ((1 << frame.size) - 1) & ~extension_mask(Model(frame, valuation), phi)
-    if not missing:
+    world = _least_refuted_world(frame, phi, valuation)
+    if world is None:
         raise AssertionError(f"valuation {index} of the scan refutes the formula at no world")
-    return valuation, (missing & -missing).bit_length() - 1
+    return valuation, world
 
 
 def find_refutation(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET):

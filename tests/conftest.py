@@ -829,6 +829,20 @@ def random_frames(seed, count, max_worlds, rooted=False):
     return frames
 
 
+def random_formula(rng, depth, names):
+    """A random formula from ``rng``, nested at most ``depth`` deep, over
+    the variables ``names`` (the constants when there are none): a node is
+    a leaf with chance 1/4 or at depth 0, else one of the six connectives
+    with equal chances."""
+    if depth == 0 or rng.random() < 0.25:
+        return fm.Var(rng.choice(names)) if names else rng.choice([fm.Top(), fm.Bot()])
+    kind = rng.randrange(6)
+    if kind < 3:
+        return (fm.Not, fm.Box, fm.Diamond)[kind](random_formula(rng, depth - 1, names))
+    left, right = random_formula(rng, depth - 1, names), random_formula(rng, depth - 1, names)
+    return (fm.And, fm.Or, fm.Implies)[kind - 3](left, right)
+
+
 def reference_worlds_of(mask):
     """``worlds_of`` by peeling the lowest set bit off one at a time."""
     out = []

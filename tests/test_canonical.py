@@ -14,6 +14,7 @@ from conftest import (
     naive_canonical_key,
     random_frames,
     reference_canonical_key,
+    reference_compositions,
     reference_posets,
     reference_preorder_classes,
     relabel,
@@ -216,21 +217,26 @@ def test_orbit_enumeration_matches_dict_dedupe():
                 == [(f.size, f.up) for f in reference_preorder_classes(n)])
 
 
-def brute_force_automorphisms(frame):
-    """Every permutation that maps related pairs to related pairs, in
-    lexicographic order: such a bijection maps the finite relation onto
-    itself, so it is an automorphism."""
-    pairs = frame.pairs()
-    return [g for g in itertools.permutations(range(frame.size))
-            if all(frame.le(g[u], g[w]) for u, w in pairs)]
+def test_twin_filters_reach_every_class_first():
+    # per poset, the growths over the kept downsets and the expansions by
+    # the kept compositions reach the classes that all of them reach, each
+    # first at the same downset or composition
+    def firsts(poset, choices, build):
+        reps = {}
+        for choice in choices:
+            reps.setdefault(F.canonical_key(build(poset, choice)), choice)
+        return list(reps.items())
 
-
-def test_automorphisms_match_brute_force():
-    rng = random.Random(13)
-    frames = [f for n in range(1, 6) for f in F.enumerate_frames(n)]
-    frames += rng.sample(list(F.enumerate_frames(6)), 40)
-    for f in frames:
-        perm = list(range(f.size))
-        rng.shuffle(perm)
-        for g in (f, relabel(f, perm)):
-            assert F.automorphisms(g) == brute_force_automorphisms(g)
+    dropped = [0, 0]
+    for k in range(1, 7):
+        for poset in F._posets(k):
+            every = [m for m in range(1 << k) if F.downset_mask(poset, m) == m]
+            kept = F._twin_least_downsets(poset)
+            assert firsts(poset, kept, F._extend_poset) == firsts(poset, every, F._extend_poset), poset
+            dropped[0] += len(every) - len(kept)
+            for n in range(k, 8):
+                every = list(reference_compositions(n, k))
+                kept = list(F._twin_least_compositions(poset, n))
+                assert firsts(poset, kept, F._expand) == firsts(poset, every, F._expand), (poset, n)
+                dropped[1] += len(every) - len(kept)
+    assert min(dropped) > 0, dropped

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import reference_decide_lr2, reference_scan_decide_lr2
+from conftest import random_formula, reference_decide_lr2, reference_scan_decide_lr2
 from roachkit import decision as D
 from roachkit import formulas as fm
 from roachkit import frames as F
@@ -122,7 +122,7 @@ def test_batched_search_matches_the_per_frame_scan():
     cases = []
     for k in (0, 1, 2, 2, 3, 4):
         names = [f"p{i}" for i in range(k)]
-        cases += [_random_formula(rng, rng.randint(1, 4), names) for _ in range(4)]
+        cases += [random_formula(rng, rng.randint(1, 4), names) for _ in range(4)]
         for _ in range(4 if k else 0):
             frame = rng.choice([f for n in range(2, bounds[k] + 1)
                                 for f in F.enumerate_frames(n, "2-roach")])
@@ -140,16 +140,6 @@ def test_batched_search_matches_the_per_frame_scan():
             if verdict.model.frame != first:
                 past_first.add(size)
     assert past_first == {3, 4, 5, 6}, past_first
-
-
-def _random_formula(rng, depth, names):
-    if depth == 0 or rng.random() < 0.25:
-        return fm.Var(rng.choice(names)) if names else rng.choice([fm.Top(), fm.Bot()])
-    kind = rng.randrange(6)
-    if kind < 3:
-        return (fm.Not, fm.Box, fm.Diamond)[kind](_random_formula(rng, depth - 1, names))
-    left, right = _random_formula(rng, depth - 1, names), _random_formula(rng, depth - 1, names)
-    return (fm.And, fm.Or, fm.Implies)[kind - 3](left, right)
 
 
 def test_route_matches_the_scan_over_two_roaches(small_frames):
@@ -236,7 +226,14 @@ def test_map_refutations_refute_on_the_frames_the_scan_finds(monkeypatch, small_
     # (the reference scans through S.find_refutation, which is not patched)
     monkeypatch.setattr(D, "find_refutation",
                         lambda frame, phi: S.find_refutation(frame, phi, 1 << 6))
-    from_map = 0
+    by_map = D._refutation_by_map
+    calls = []
+
+    def counted(frame, phi, witness):
+        calls.append(frame)
+        return by_map(frame, phi, witness)
+
+    monkeypatch.setattr(D, "_refutation_by_map", counted)
     for f in small_frames:
         chi = fm.fine_jankov(f)
         verdict, want = D.decide_lr2(chi, 5), reference_scan_decide_lr2(chi, 5)
@@ -244,5 +241,4 @@ def test_map_refutations_refute_on_the_frames_the_scan_finds(monkeypatch, small_
         if isinstance(want, D.Refuted):
             assert verdict.model.frame == want.model.frame
             _assert_refutation_checks(verdict, chi)
-            from_map += f.size * verdict.model.frame.size > 6
-    assert from_map == 10, from_map
+    assert len(calls) == 10, len(calls)

@@ -4,7 +4,7 @@ from collections import OrderedDict
 
 import pytest
 
-from conftest import naive_frame_validates, naive_least_refuting_index
+from conftest import naive_frame_validates, naive_least_refuting_index, random_formula
 from roachkit import formulas as fm
 from roachkit import frames as F
 from roachkit import semantics as S
@@ -188,21 +188,6 @@ def test_pattern_table_bits_are_index_bits():
         assert [(pat >> j) & 1 for pat in pats] == [(j >> t) & 1 for t in range(20)]
 
 
-def _random_formula(rng, depth, names):
-    if depth == 0 or rng.random() < 0.25:
-        return fm.Var(rng.choice(names)) if names else rng.choice([fm.Top(), fm.Bot()])
-    kind = rng.randrange(6)
-    if kind == 0:
-        return fm.Not(_random_formula(rng, depth - 1, names))
-    if kind == 1:
-        return fm.Box(_random_formula(rng, depth - 1, names))
-    if kind == 2:
-        return fm.Diamond(_random_formula(rng, depth - 1, names))
-    left = _random_formula(rng, depth - 1, names)
-    right = _random_formula(rng, depth - 1, names)
-    return [fm.And, fm.Or, fm.Implies][kind - 3](left, right)
-
-
 def _refutes(frame, phi, variables, index):
     valuation = S._decode_valuation(index, variables, frame.size)
     return S.extension_mask(S.Model(frame, valuation), phi) != (1 << frame.size) - 1
@@ -219,7 +204,7 @@ def test_random_formulas_scan_alike_at_every_chunk_size():
         attempts += 1
         f = rng.choice(frames)
         n_vars = rng.randint(2, 4)
-        phi = _random_formula(rng, rng.randint(2, 4), [f"p{i}" for i in range(n_vars)])
+        phi = random_formula(rng, rng.randint(2, 4), [f"p{i}" for i in range(n_vars)])
         program = compile_formula(phi)
         kn = program.n_vars * f.size
         if kn < 6:
@@ -246,7 +231,7 @@ def test_chunked_scan_matches_naive_oracle():
              (fm.axiom("ga"), fm.axiom("grz"), fm.axiom("bd", 2), fm.axiom("bd", 3))]
     for _ in range(120):
         names = [f"p{i}" for i in range(rng.randint(1, 3))]
-        cases.append((rng.choice(frames), _random_formula(rng, rng.randint(1, 4), names)))
+        cases.append((rng.choice(frames), random_formula(rng, rng.randint(1, 4), names)))
     past_first_chunk = {0: 0, 3: 0, 6: 0}
     for f, phi in cases:
         program = compile_formula(phi)
@@ -357,7 +342,7 @@ def test_chunk_reuse_matches_one_chunk_scan():
     cases = [(rng.choice(wide), fm.parse(text)) for text in pulled for _ in range(4)]
     for _ in range(60):
         names = [f"p{i}" for i in range(rng.randint(1, 2))]
-        cases.append((rng.choice(frames), _random_formula(rng, rng.randint(1, 4), names)))
+        cases.append((rng.choice(frames), random_formula(rng, rng.randint(1, 4), names)))
     past_first_chunks = 0
     for f, phi in cases:
         program = compile_formula(phi)
@@ -403,7 +388,7 @@ def test_one_program_scans_alike_on_every_world_count():
 def test_one_chunk_scan_frees_dead_slots():
     # 970 slots of 8 KB items at 8 worlds: about 58 MB if no slot is freed
     rng = random.Random(19)
-    phi = fm.conj([_random_formula(rng, 7, ["p", "q"]) for _ in range(200)])
+    phi = fm.conj([random_formula(rng, 7, ["p", "q"]) for _ in range(200)])
     program = compile_formula(phi)
     chain = builtin("chain", 8)
     assert len(program.ops) > 900 and program.n_vars * chain.size == 16
@@ -421,7 +406,7 @@ def test_batched_one_chunk_scan_frees_dead_slots():
     # the same 970 slots on a batch of sixteen 6-world 2-roaches side by side
     # in one 2^16-bit chunk: about 46 MB if no slot is freed
     rng = random.Random(19)
-    phi = fm.conj([_random_formula(rng, 7, ["p", "q"]) for _ in range(200)])
+    phi = fm.conj([random_formula(rng, 7, ["p", "q"]) for _ in range(200)])
     program = compile_formula(phi)
     batch = [f.up for f in F.enumerate_frames(6, "2-roach")][16:32]
     assert len(program.ops) > 900 and _scan_py.batch_size(program.n_vars * 6, 6) == 16
@@ -465,7 +450,7 @@ def test_batched_scan_finds_the_per_frame_least_refutation():
     formulas = [fm.axiom(name) for name in ("ga", "grz", "ma")]
     formulas += [fm.axiom("bd", 2), fm.axiom("bd", 3), fm.parse("[](p -> []p) -> (<>[]p -> []p)"),
                  fm.parse("<>(p & <>~p) -> []<>q"), fm.parse("[]T"), fm.parse("<>F | ~[]F")]
-    formulas += [_random_formula(rng, rng.randint(1, 4), [f"p{i}" for i in range(k)])
+    formulas += [random_formula(rng, rng.randint(1, 4), [f"p{i}" for i in range(k)])
                  for k in (0, 1, 1, 2, 2, 3, 4) for _ in range(4)]
     seen = {"past_start": 0, "inside_batch": 0, "batched": 0, "no_vars": 0, "oracle": 0}
     for phi in formulas:
