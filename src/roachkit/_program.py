@@ -29,27 +29,20 @@ class Program:
 
 
 def compile_formula(phi: fm.Formula) -> Program:
-    nodes = fm.postorder(phi)
-    variables = tuple(sorted({node.name for node in nodes if type(node) is fm.Var}))
-    var_index = {name: i for i, name in enumerate(variables)}
-    ops: list[tuple[int, int, int]] = []
+    variables = fm.variables(phi)
+    var_index = dict(zip(variables, range(len(variables))))
+    # instruction -> slot, in slot order; node id -> slot
     slot_of_instr: dict[tuple[int, int, int], int] = {}
     slot_of_node: dict[int, int] = {}
-    for node in nodes:
+    for node in fm.postorder(phi):
         kind = type(node)
-        if kind in _BINARY:
-            instr = (_BINARY[kind], slot_of_node[id(node.left)], slot_of_node[id(node.right)])
-        elif kind in _UNARY:
-            instr = (_UNARY[kind], slot_of_node[id(node.operand)], 0)
-        elif kind is fm.Var:
+        if kind is fm.Var:
             instr = (OP_VAR, var_index[node.name], 0)
-        elif kind in _CONSTANT:
-            instr = _CONSTANT[kind]
-        else:
+        elif (op := _BINARY.get(kind)) is not None:
+            instr = (op, slot_of_node[id(node.left)], slot_of_node[id(node.right)])
+        elif (op := _UNARY.get(kind)) is not None:
+            instr = (op, slot_of_node[id(node.operand)], 0)
+        elif (instr := _CONSTANT.get(kind)) is None:
             raise TypeError(f"not a formula: {node!r}")
-        slot = slot_of_instr.get(instr)
-        if slot is None:
-            slot = slot_of_instr[instr] = len(ops)
-            ops.append(instr)
-        slot_of_node[id(node)] = slot
-    return Program(tuple(ops), variables)
+        slot_of_node[id(node)] = slot_of_instr.setdefault(instr, len(slot_of_instr))
+    return Program(tuple(slot_of_instr), variables)

@@ -33,6 +33,8 @@ the instruction that reads it last.  That plan depends on the world count
 alone, not on the frame, so it is built on the first such scan of each count
 and kept in the program's ``__dict__``, which is freed with the program: a
 query that scans one formula on many frames plans it once per world count.
+The slots each instruction reads last depend on the program alone; both
+kinds of plan take them from one backward pass, also kept on the program.
 Both kinds of plan run through the same loop.
 
 Since that plan depends on the world count alone, frames of one size can
@@ -98,16 +100,24 @@ def _operands(op, a, b):
     return ()
 
 
-def _dying(ops):
-    """The slots each instruction reads last.  The result slot is read after
-    the program, so it dies at no instruction."""
-    last_read = {}
-    for pc, (op, a, b) in enumerate(ops):
-        for s in _operands(op, a, b):
-            last_read[s] = pc
-    dying = [[] for _ in ops]
-    for s, pc in last_read.items():
-        dying[pc].append(s)
+def _dying(program):
+    """The slots each instruction reads last, found in one backward pass and
+    kept on the program.  The result slot is read after the program, so it
+    dies at no instruction."""
+    dying = program.__dict__.get("_dying")
+    if dying is None:
+        read, dying = [False] * len(program.ops), []
+        for op, a, b in reversed(program.ops):
+            dead = ()
+            if op > OP_VAR:  # every other instruction reads slot a
+                if not read[a]:
+                    read[a] = True
+                    dead = (a,)
+                if OP_AND <= op <= OP_IMP and not read[b]:
+                    read[b] = True
+                    dead += (b,)
+            dying.append(dead)
+        dying = program.__dict__["_dying"] = dying[::-1]
     return dying
 
 
@@ -153,7 +163,7 @@ def _one_chunk_plan(program, n_worlds):
         worlds = tuple(range(n_worlds))
         steps = plans[n_worlds] = [
             (op, pc, a, b, worlds, dead)
-            for pc, ((op, a, b), dead) in enumerate(zip(program.ops, _dying(program.ops)))
+            for pc, ((op, a, b), dead) in enumerate(zip(program.ops, _dying(program)))
         ]
     return steps
 
@@ -165,7 +175,7 @@ def _chunk_plans(program, members, n_worlds, chunk_log2, high):
     worlds = tuple(range(n_worlds))
     levels, kept = _levels(ops, members, n_worlds, chunk_log2, high)
     # after each instruction, the slots it reads last that no later chunk reads
-    drops = [[s for s in dead if not kept[s]] for dead in _dying(ops)]
+    drops = [[s for s in dead if not kept[s]] for dead in _dying(program)]
 
     def plan(threshold):
         steps = []
@@ -234,7 +244,7 @@ def find_batch_refuting_index(ups, n_worlds, program, chunk_log2=16):
     kn = program.n_vars * n_worlds
     if len(ups) == 1:
         block_log2, chunk_log2, live = kn, min(chunk_log2, kn), -1
-        members, partial = [worlds_of(m) for m in ups[0]], [()] * n_worlds
+        members, partial = list(map(worlds_of, ups[0])), [()] * n_worlds
     else:
         block_log2 = max(kn, 3, (n_worlds - 1).bit_length())
         chunk_log2, live = block_log2 + (len(ups) - 1).bit_length(), (1 << (len(ups) << block_log2)) - 1

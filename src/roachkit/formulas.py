@@ -88,25 +88,37 @@ def variables(phi: Formula) -> tuple[str, ...]:
     return tuple(sorted({node.name for node in postorder(phi) if type(node) is Var}))
 
 
-def postorder(phi: Formula) -> list:
+def postorder(phi: Formula) -> tuple:
     """The formula's distinct node objects, each after its operands and the
     left operand's nodes before the right's.  An explicit stack replaces
     recursion, and nodes are told apart by identity, so neither depth nor a
-    shared subtree costs a deep walk or a hash of the subtree."""
+    shared subtree costs a deep walk or a hash of the subtree.  Formulas are
+    frozen, so the walk runs once per root object: its tuple is kept on the
+    root, and ``variables``, the compiler and ``semantics`` all share it."""
+    order = getattr(phi, "_postorder", None)
+    if order is None:
+        order = _walk(phi)
+        if isinstance(phi, Formula):  # anything else is refused by the caller
+            object.__setattr__(phi, "_postorder", order)
+    return order
+
+
+def _walk(phi: Formula) -> tuple:
     order, entered, stack = [], set(), [phi]
     while stack:
         node = stack.pop()
-        if type(node) is tuple:  # every operand of node[0] is done
-            order.append(node[0])
-        elif id(node) not in entered:
-            entered.add(id(node))
-            stack.append((node,))
+        if node is None:  # every operand of the node below it is done
+            order.append(stack.pop())
+        elif (key := id(node)) not in entered:
+            entered.add(key)
             kind = type(node)
             if kind is And or kind is Or or kind is Implies:
-                stack += (node.right, node.left)
+                stack += (node, None, node.right, node.left)
             elif kind is Not or kind is Box or kind is Diamond:
-                stack.append(node.operand)
-    return order
+                stack += (node, None, node.operand)
+            else:
+                order.append(node)
+    return tuple(order)
 
 
 def _balanced(op, parts, empty: Formula) -> Formula:

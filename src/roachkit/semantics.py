@@ -54,37 +54,44 @@ class Model:
 
 
 def extension_mask(model: Model, phi: fm.Formula) -> int:
-    frame = model.frame
-    full = (1 << frame.size) - 1
-    up = frame.up
-    worlds = range(frame.size)
+    return _extension_mask(model.frame, model.valuation, phi)
+
+
+def _extension_mask(frame, valuation, phi):
+    """``extension_mask`` of a valuation already known to name only worlds
+    of the frame, with no ``Model`` built to check it."""
+    full, up = (1 << frame.size) - 1, frame.up
     mask = {}  # id of each node visited -> its extension
     for node in fm.postorder(phi):
         kind = type(node)
         if kind is fm.Var:
-            result = mask_of(model.valuation.get(node.name, ()))
+            result = mask_of(valuation.get(node.name, ()))
+        elif kind is fm.Implies:
+            result = (full & ~mask[id(node.left)]) | mask[id(node.right)]
+        elif kind is fm.And:
+            result = mask[id(node.left)] & mask[id(node.right)]
+        elif kind is fm.Box:
+            sub, result = mask[id(node.operand)], 0
+            for w, row in enumerate(up):
+                if row & sub == row:
+                    result |= 1 << w
+        elif kind is fm.Diamond:
+            sub, result = mask[id(node.operand)], 0
+            for w, row in enumerate(up):
+                if row & sub:
+                    result |= 1 << w
+        elif kind is fm.Or:
+            result = mask[id(node.left)] | mask[id(node.right)]
+        elif kind is fm.Not:
+            result = full & ~mask[id(node.operand)]
         elif kind is fm.Top:
             result = full
         elif kind is fm.Bot:
             result = 0
-        elif kind is fm.Not:
-            result = full & ~mask[id(node.operand)]
-        elif kind is fm.And:
-            result = mask[id(node.left)] & mask[id(node.right)]
-        elif kind is fm.Or:
-            result = mask[id(node.left)] | mask[id(node.right)]
-        elif kind is fm.Implies:
-            result = (full & ~mask[id(node.left)]) | mask[id(node.right)]
-        elif kind is fm.Box:
-            sub = mask[id(node.operand)]
-            result = mask_of(w for w in worlds if up[w] & ~sub == 0)
-        elif kind is fm.Diamond:
-            sub = mask[id(node.operand)]
-            result = mask_of(w for w in worlds if up[w] & sub)
         else:
             raise TypeError(f"not a formula: {node!r}")
         mask[id(node)] = result
-    return mask[id(phi)]
+    return result  # the root comes last
 
 
 def extension(model: Model, phi: fm.Formula) -> set[int]:
@@ -93,11 +100,11 @@ def extension(model: Model, phi: fm.Formula) -> set[int]:
 
 
 def _decode_valuation(index: int, variables, n_worlds: int) -> dict:
-    valuation = {}
-    for v, name in enumerate(variables):
-        worlds = {i for i in range(n_worlds) if (index >> (v * n_worlds + i)) & 1}
-        if worlds:
-            valuation[name] = worlds
+    valuation, full = {}, (1 << n_worlds) - 1
+    for name in variables:
+        if index & full:
+            valuation[name] = set(worlds_of(index & full))
+        index >>= n_worlds
     return valuation
 
 
@@ -127,8 +134,10 @@ def _program(phi):
 
 def _least_refuted_world(frame, phi, valuation):
     """The least world of ``frame`` where ``valuation`` refutes ``phi``, or
-    None when it refutes it nowhere."""
-    missing = ((1 << frame.size) - 1) & ~extension_mask(Model(frame, valuation), phi)
+    None when it refutes it nowhere.  The valuation comes from the scan or
+    from a p-morphism, so it names only worlds of the frame, and the one
+    ``Model`` built is the verdict's."""
+    missing = ((1 << frame.size) - 1) ^ _extension_mask(frame, valuation, phi)
     return (missing & -missing).bit_length() - 1 if missing else None
 
 

@@ -584,13 +584,49 @@ def logic_leq(a: O.LogicId, b: O.LogicId) -> bool | None:
     return ra >= rb
 
 
+def naive_extension(frame, valuation, phi):
+    """The set of worlds where ``phi`` holds, by recursion on the formula
+    straight from the definitions, with no masks and no shared walk: a box
+    holds at the worlds whose whole upset lies in its operand's set, a
+    diamond at those whose upset meets it.  Unassigned variables are false
+    everywhere.  A shared subtree is evaluated once per occurrence."""
+    worlds = set(frame.worlds())
+    upset = {w: {v for v in worlds if frame.le(w, v)} for w in worlds}
+
+    def holds(node):
+        match node:
+            case fm.Var(name=name):
+                return worlds & set(valuation.get(name, ()))
+            case fm.Top():
+                return set(worlds)
+            case fm.Bot():
+                return set()
+            case fm.Not(operand=a):
+                return worlds - holds(a)
+            case fm.And(left=a, right=b):
+                return holds(a) & holds(b)
+            case fm.Or(left=a, right=b):
+                return holds(a) | holds(b)
+            case fm.Implies(left=a, right=b):
+                return (worlds - holds(a)) | holds(b)
+            case fm.Box(operand=a):
+                inside = holds(a)
+                return {w for w in worlds if upset[w] <= inside}
+            case fm.Diamond(operand=a):
+                inside = holds(a)
+                return {w for w in worlds if upset[w] & inside}
+        raise TypeError(f"not a formula: {node!r}")
+
+    return holds(phi)
+
+
 def naive_frame_validates(frame, phi):
     """Validity by looping over every valuation one at a time."""
     names = fm.variables(phi)
-    full = (1 << frame.size) - 1
+    worlds = set(frame.worlds())
     for assignment in itertools.product(range(1 << frame.size), repeat=len(names)):
         valuation = {name: set(worlds_of(mask)) for name, mask in zip(names, assignment)}
-        if S.extension_mask(S.Model(frame, valuation), phi) != full:
+        if naive_extension(frame, valuation, phi) != worlds:
             return False
     return True
 
@@ -604,9 +640,26 @@ def naive_least_refuting_index(frame, phi):
     for index in range(1 << (len(names) * n)):
         valuation = {name: {i for i in range(n) if (index >> (v * n + i)) & 1}
                      for v, name in enumerate(names)}
-        if S.extension_mask(S.Model(frame, valuation), phi) != (1 << n) - 1:
+        if naive_extension(frame, valuation, phi) != set(range(n)):
             return index
     return -1
+
+
+def formula_with_repeats(rng, names, steps):
+    """Each step combines earlier parts: the same object, or an equal copy."""
+    pool = [fm.Var(name) for name in names] + [fm.TOP, fm.BOT]
+
+    def pick():
+        part = rng.choice(pool)
+        return part if rng.random() < 0.6 else fm.parse(fm.render(part))
+
+    for _ in range(steps):
+        kind = rng.randrange(6)
+        if kind < 3:
+            pool.append((fm.Not, fm.Box, fm.Diamond)[kind](pick()))
+        else:
+            pool.append((fm.And, fm.Or, fm.Implies)[kind - 3](pick(), pick()))
+    return pool[-1]
 
 
 def reference_compile_formula(phi):

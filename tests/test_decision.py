@@ -242,3 +242,28 @@ def test_map_refutations_refute_on_the_frames_the_scan_finds(monkeypatch, small_
             assert verdict.model.frame == want.model.frame
             _assert_refutation_checks(verdict, chi)
     assert len(calls) == 10, len(calls)
+
+
+def test_a_point_query_walks_its_formula_once_and_builds_one_model(monkeypatch):
+    walked, models = [], []
+    walk, model = fm._walk, S.Model
+
+    def counted_model(frame, valuation):
+        models.append(valuation)
+        return model(frame, valuation)
+
+    monkeypatch.setattr(fm, "_walk", lambda phi: walked.append(phi) or walk(phi))
+    monkeypatch.setattr(S, "Model", counted_model)
+    monkeypatch.setattr(D, "Model", counted_model)
+    for text in ("[]p -> q", "~(<>p | (q -> []~p))", "(p & <>~q) -> []~p"):
+        phi = fm.parse(text)
+        walked.clear()
+        models.clear()
+        verdict = D.decide_lr2(phi, 4)
+        assert type(verdict) is D.Refuted and verdict.model.frame.size == 1
+        assert verdict.world not in S.extension(verdict.model, phi)
+        # compiling, the variable names and the re-check share one walk,
+        # and the one Model is the verdict's
+        assert len(walked) == 1 and walked[0] is phi
+        assert len(models) == 1 and verdict.model.valuation is models[0]
+        assert D.decide_lr2(phi, 4) == verdict and len(walked) == 1

@@ -1,8 +1,9 @@
 import random
+from copy import copy, deepcopy
 
 import pytest
 
-from conftest import eliminate_diamonds, modal_depth, relabel
+from conftest import eliminate_diamonds, formula_with_repeats, modal_depth, relabel
 from roachkit import formulas as fm
 from roachkit import frames as F
 from roachkit import semantics as S
@@ -308,3 +309,48 @@ def test_render_does_not_recurse_on_deep_binary_chains():
     assert fm.render(left) == " & ".join(["p"] * 5001)
     assert fm.render(right) == " -> ".join(["p"] * 5001)
     assert fm.render(fm.Box(fm.Or(right, left))) == f"[](({fm.render(right)}) | {fm.render(left)})"
+
+
+def test_postorder_walks_each_formula_object_once(monkeypatch):
+    walked, walk = [], fm._walk
+    monkeypatch.setattr(fm, "_walk", lambda phi: walked.append(phi) or walk(phi))
+    phi = fm.parse("([]p -> <>(q & p)) | ~T")
+    nodes = fm.postorder(phi)
+    assert fm.postorder(phi) is nodes and fm.variables(phi) == ("p", "q")
+    assert len(walked) == 1 and walked[0] is phi
+    # a subformula is a formula object of its own, walked on its first use
+    assert fm.postorder(phi.left) == nodes[:7] and len(walked) == 2
+
+
+def test_shared_walk_is_an_immutable_tuple_listing_a_shared_subtree_once():
+    p = fm.Var("p")
+    shared = fm.Box(p)
+    phi = fm.Implies(fm.And(shared, fm.Var("p")), fm.Or(shared, fm.Diamond(shared)))
+    nodes = fm.postorder(phi)
+    assert type(nodes) is tuple
+    # the shared box and its operand once each, where they are first done;
+    # the equal but distinct second Var("p") on its own
+    assert [type(node).__name__ for node in nodes] == [
+        "Var", "Box", "Var", "And", "Diamond", "Or", "Implies"]
+    assert nodes[0] is p and nodes[1] is shared and nodes[2] is not p and nodes[2] == p
+    with pytest.raises(TypeError):
+        nodes[0] = fm.TOP
+    with pytest.raises(AttributeError):
+        phi._postorder = ()
+    assert fm.postorder(phi) is nodes
+
+
+def test_shared_walk_equals_a_fresh_walk_of_an_equal_copy():
+    rng = random.Random(37)
+    for _ in range(200):
+        phi = formula_with_repeats(rng, ["p", "q"], rng.randint(1, 12))
+        twin = deepcopy(phi)  # equal by value, with the same sharing
+        nodes = fm.postorder(phi)
+        fresh = fm._walk(twin)
+        assert twin == phi and fresh == nodes
+        assert not any(a is b for a, b in zip(fresh, nodes))
+        assert len({id(node) for node in nodes}) == len(nodes)
+        # a shallow copy carries the root's kept walk, whose last node is
+        # the original root: it evaluates alike
+        model = S.Model(builtin("F1"), {"p": {1, 2}, "q": {3}})
+        assert S.extension(model, copy(phi)) == S.extension(model, phi)

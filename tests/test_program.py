@@ -1,7 +1,7 @@
 import random
 from pathlib import Path
 
-from conftest import reference_compile_formula, reference_dying_slots
+from conftest import formula_with_repeats, reference_compile_formula, reference_dying_slots
 from roachkit import _scan_py
 from roachkit import decision as D
 from roachkit import formulas as fm
@@ -40,29 +40,12 @@ def test_compiler_matches_the_recursive_reference_on_perfbench_formulas(monkeypa
         assert compile_formula(phi) == reference_compile_formula(phi)
 
 
-def _formula_with_repeats(rng, names, steps):
-    """Each step combines earlier parts: the same object, or an equal copy."""
-    pool = [fm.Var(name) for name in names] + [fm.TOP, fm.BOT]
-
-    def pick():
-        part = rng.choice(pool)
-        return part if rng.random() < 0.6 else fm.parse(fm.render(part))
-
-    for _ in range(steps):
-        kind = rng.randrange(6)
-        if kind < 3:
-            pool.append((fm.Not, fm.Box, fm.Diamond)[kind](pick()))
-        else:
-            pool.append((fm.And, fm.Or, fm.Implies)[kind - 3](pick(), pick()))
-    return pool[-1]
-
-
 def test_compiler_matches_the_recursive_reference_on_random_formulas():
     rng = random.Random(41)
     shared = 0
     for _ in range(1000):
         names = [f"p{i}" for i in range(rng.randint(1, 4))]
-        phi = _formula_with_repeats(rng, names, rng.randint(1, 14))
+        phi = formula_with_repeats(rng, names, rng.randint(1, 14))
         program = compile_formula(phi)
         assert program == reference_compile_formula(phi)
         shared += len(program.ops) < _tree_size(phi)
@@ -74,7 +57,7 @@ def test_one_chunk_steps_free_the_reference_dying_slots(monkeypatch):
     formulas = _perfbench_formulas(monkeypatch)
     for _ in range(1000):
         names = [f"p{i}" for i in range(rng.randint(1, 4))]
-        formulas.append(_formula_with_repeats(rng, names, rng.randint(1, 14)))
+        formulas.append(formula_with_repeats(rng, names, rng.randint(1, 14)))
     for phi in formulas:
         program = compile_formula(phi)
         dying = reference_dying_slots(program.ops)
@@ -82,6 +65,27 @@ def test_one_chunk_steps_free_the_reference_dying_slots(monkeypatch):
             steps = _scan_py._one_chunk_plan(program, n_worlds)
             assert [step[1] for step in steps] == list(range(len(program.ops)))
             assert tuple(tuple(sorted(step[5])) for step in steps) == dying
+
+
+def test_dying_slots_are_found_once_per_program():
+    program = compile_formula(fm.parse("([]p -> <>(q & p)) | ~(<>q & [](p -> q))"))
+    dying = _scan_py._dying(program)
+    assert tuple(tuple(sorted(dead)) for dead in dying) == reference_dying_slots(program.ops)
+    for n_worlds in (1, 2, 3):
+        steps = _scan_py._one_chunk_plan(program, n_worlds)
+        assert [step[5] for step in steps] == dying
+    chain = builtin("chain", 3)  # 6 index bits over chunks of 2^3: the chunk plans
+    assert _scan_py.find_refuting_index(chain.up, 3, program, chunk_log2=3) == (
+        _scan_py.find_refuting_index(chain.up, 3, program))
+    assert _scan_py._dying(program) is dying
+
+
+def test_compiler_takes_the_variable_names_from_formulas_variables(monkeypatch):
+    calls, variables = [], fm.variables
+    monkeypatch.setattr(fm, "variables", lambda phi: calls.append(phi) or variables(phi))
+    phi = fm.parse("[]r -> (p | <>q)")
+    assert compile_formula(phi).variables == ("p", "q", "r")
+    assert len(calls) == 1 and calls[0] is phi
 
 
 def _tree_size(phi):

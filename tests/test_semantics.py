@@ -4,7 +4,14 @@ from collections import OrderedDict
 
 import pytest
 
-from conftest import naive_frame_validates, naive_least_refuting_index, random_formula
+from conftest import (
+    formula_with_repeats,
+    naive_extension,
+    naive_frame_validates,
+    naive_least_refuting_index,
+    random_formula,
+    random_frames,
+)
 from roachkit import formulas as fm
 from roachkit import frames as F
 from roachkit import semantics as S
@@ -91,6 +98,30 @@ def test_monotone_fragment_is_monotone_in_valuation():
                  for name in ("p", "q")}
         big = {name: worlds | {rng.randrange(f.size)} for name, worlds in small.items()}
         assert S.extension(S.Model(f, small), phi) <= S.extension(S.Model(f, big), phi)
+
+
+def test_extension_mask_matches_the_recursive_oracle():
+    # the evaluator over the shared walk, and the re-check that reads the
+    # least refuted world off it, against a set-based recursion written from
+    # the definitions, on frames of at most 5 worlds
+    rng = random.Random(29)
+    frames = random_frames(31, 60, 5) + [builtin(name) for name in ("F1", "F2", "F3", "two_fork")]
+    names = ["p", "q", "r"]
+    formulas = [random_formula(rng, 5, names) for _ in range(150)]
+    formulas += [formula_with_repeats(rng, names, rng.randint(1, 12)) for _ in range(150)]
+    formulas += [fm.fine_jankov(builtin(name)) for name in ("F1", "F2", "F3", "two_fork")]
+    formulas += [fm.fine_jankov(builtin("chain", 3))]
+    proper = 0
+    for phi in formulas:
+        for frame in rng.sample(frames, 4):
+            valuation = {name: set(rng.sample(range(frame.size), rng.randint(0, frame.size)))
+                         for name in fm.variables(phi)}
+            want = naive_extension(frame, valuation, phi)
+            assert set(F.worlds_of(S.extension_mask(S.Model(frame, valuation), phi))) == want
+            refuted = set(frame.worlds()) - want
+            assert S._least_refuted_world(frame, phi, valuation) == min(refuted, default=None)
+            proper += 0 < len(want) < frame.size
+    assert proper > 300, proper
 
 
 def test_s41_frames_validate_mckinsey():
