@@ -3,7 +3,7 @@
 
 Runs the dominant acceptance workloads: frame-formula validity over all
 valuations (2^25 per 5-world frame for the largest formula) and the depth
-axioms, one frame per scan.  A last row times many small scans, where the
+axioms, one frame per scan.  A fourth row times many small scans, where the
 cost of each call rather than of each valuation shows: 1- and 2-variable
 formulas valid on every 2-roach, each compiled once and scanned on the 95
 2-roaches of at most 6 worlds (at most 2^12 valuations) as the decide
