@@ -26,16 +26,16 @@ class CriterionResult:
 
 def _rooted_s41(max_size):
     for n in range(1, max_size + 1):
-        yield from F.enumerate_frames(n, "s41-rooted")
+        yield from F.enumerate_frames(n, "s41-rooted", ceiling=max_size)
 
 
 def check_char_r2() -> tuple[bool, str]:
     """2-roach recognition agrees with forbidden-configuration search on
-    every rooted S4.1 frame with at most 5 worlds."""
+    every rooted S4.1 frame with at most 7 worlds."""
     mismatches = 0
     total = 0
     configs = [R.builtin(name) for name in R.FORBIDDEN_NAMES]
-    for f in _rooted_s41(5):
+    for f in _rooted_s41(7):
         total += 1
         recognized = R.is_2_roach(f) is not None
         permissible = any(M.is_permissible(c, f) is not None for c in configs)
@@ -122,7 +122,7 @@ def check_closure() -> tuple[bool, str]:
                 if R.is_2_roach(sub) is None:
                     failures += 1
             for g in targets:
-                if M.find_onto_p_morphism(f, g) is not None:
+                if M.find_onto_p_morphism(f, g, least=False) is not None:
                     checked += 1
                     if R.is_2_roach(g) is None:
                         failures += 1

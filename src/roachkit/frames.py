@@ -132,9 +132,8 @@ def _order_data(up: tuple[int, ...]):
     ``depth_vector``, are kept on the frame by ``_order_views``, so they
     cost one pass per frame between them.  The successor lists are not
     kept: they take about 1 KB per frame, and most frames that need them
-    (enumeration candidates in ``canonical_key``, subframes and
-    configurations in ``morphisms.find_onto_p_morphism``) are looked at
-    once.  A caller that needs predecessor lists reads them off the down
+    (enumeration candidates in ``canonical_key``, subframes in
+    ``morphisms.find_onto_p_morphism``) are looked at once.  A caller that needs predecessor lists reads them off the down
     masks with ``worlds_of``.
     """
     n = len(up)
@@ -144,13 +143,13 @@ def _order_data(up: tuple[int, ...]):
         bit = 1 << u
         for w in succ[u]:
             down[w] |= bit
-    cluster = [up[w] & down[w] for w in range(n)]
+    cluster = list(map(operator.and_, up, down))
     # a strict successor has a smaller upset, so it is finished first
     depth = [0] * n
-    for w in sorted(range(n), key=lambda w: len(succ[w])):
-        best = 0
+    for w in sorted(range(n), key=[mask.bit_count() for mask in up].__getitem__):
+        c, best = cluster[w], 0
         for v in succ[w]:
-            if not (cluster[w] >> v) & 1 and depth[v] > best:
+            if depth[v] > best and not (c >> v) & 1:
                 best = depth[v]
         depth[w] = best + 1
     return succ, down, cluster, depth
@@ -315,7 +314,7 @@ def _twin_keys(up, down, cluster) -> list[tuple[int, int, int]]:
     itself.  A world strictly below another never shares it, as its upset
     without itself does not drop the other.  Swapping two twins is an
     automorphism."""
-    return [(up[w] ^ c, down[w] ^ c, c if c & (c - 1) else 0) for w, c in enumerate(cluster)]
+    return [(u ^ c, d ^ c, c if c & (c - 1) else 0) for u, d, c in zip(up, down, cluster)]
 
 
 def _twin_placements(classes: list, slots: list):
@@ -348,20 +347,21 @@ def canonical_key(frame: Frame):
     round can split one, and both are skipped; otherwise refinement stops
     once a round leaves the class count unchanged, as every later round
     would too.  When every group is a single twin class there is one
-    relabeling, and it is encoded directly.  Symmetry that is not twin
-    symmetry is still tried exhaustively, so the cost can grow factorially
-    on such frames.
+    relabeling, a stable sort of the worlds by rank, and it is encoded
+    directly.  Symmetry that is not twin symmetry is still tried
+    exhaustively, so the cost can grow factorially on such frames.
     """
     n = frame.size
     up = frame.up
     succ, down, cluster, depth = _order_data(up)
     b = n + 1  # every part of the first invariant lies in 0..n
-    rank = _ranks([((depth[w] * b + len(succ[w])) * b + down[w].bit_count()) * b
-                   + cluster[w].bit_count() for w in range(n)])
+    invariant = [((d * b + len(ws)) * b + dm.bit_count()) * b + c.bit_count()
+                 for d, ws, dm, c in zip(depth, succ, down, cluster)]
     twin = _twin_keys(up, down, cluster)
     twin_count = len(set(twin))
-    count = max(rank) + 1
+    rank, count = invariant, len(set(invariant))
     if count != twin_count:
+        rank = _ranks(invariant)
         pred = [worlds_of(mask) for mask in down]
         for _ in range(2):
             at = rank.__getitem__
@@ -370,25 +370,25 @@ def canonical_key(frame: Frame):
             before, count = count, max(rank) + 1
             if count in (before, n):
                 break
+    # the groups in rank order, each in index order
+    perm = [0] * n
+    for slot, w in enumerate(sorted(range(n), key=rank.__getitem__)):
+        perm[w] = slot
+    if count == twin_count:
+        return (n, _encode(succ, perm))
     groups = [[] for _ in range(count)]
     for w in range(n):
         groups[rank[w]].append(w)
-    perm = [0] * n
     choices = []
     offset = 0
     for group in groups:
-        slots = range(offset, offset + len(group))
+        slots = list(range(offset, offset + len(group)))
         offset += len(group)
-        for w, slot in zip(group, slots):
-            perm[w] = slot
-        if count != twin_count:
-            twins = {}
-            for w in group:
-                twins.setdefault(twin[w], []).append(w)
-            if len(twins) > 1:
-                choices.append(list(_twin_placements(list(twins.values()), list(slots))))
-    if not choices:
-        return (n, _encode(succ, perm))
+        twins = {}
+        for w in group:
+            twins.setdefault(twin[w], []).append(w)
+        if len(twins) > 1:
+            choices.append(list(_twin_placements(list(twins.values()), slots)))
     best = None
     for placements in itertools.product(*choices):
         for placed in placements:
@@ -421,9 +421,9 @@ def are_isomorphic(f: Frame, g: Frame) -> bool:
 def _extend_poset(frame: Frame, downset_mask_: int) -> Frame:
     """Add a fresh maximal element sitting above exactly one downset."""
     n = frame.size
-    up = [frame.up[w] | ((1 << n) if (downset_mask_ >> w) & 1 else 0) for w in range(n)]
-    up.append(1 << n)
-    return _closed_frame(n + 1, tuple(up))
+    top = 1 << n
+    return _closed_frame(n + 1, (*[mask | top if (downset_mask_ >> w) & 1 else mask
+                                   for w, mask in enumerate(frame.up)], top))
 
 
 def _downsets(frame: Frame) -> list[int]:

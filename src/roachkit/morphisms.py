@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from ._record import record
 from .errors import PreconditionError
-from .frames import Frame, _order_data, classify_frame, generated_subframe, mask_of, worlds_of
+from .frames import (Frame, _order_data, _order_views, classify_frame, generated_subframe, mask_of,
+                     worlds_of)
 
 # the onto-p-morphism search refuses larger source and target frames
 SEARCH_CEILING = 10
@@ -71,7 +72,7 @@ def identity_morphism(frame: Frame) -> PMorphism:
     return PMorphism(frame, frame, tuple(frame.worlds()))
 
 
-def _cluster_counts(up: tuple[int, ...], cluster: list[int]) -> list[int]:
+def _cluster_counts(up: tuple[int, ...], cluster: tuple[int, ...] | list[int]) -> list[int]:
     """Per world, the number of clusters in its upset."""
     leaders = 0
     for w, c in enumerate(cluster):
@@ -80,12 +81,17 @@ def _cluster_counts(up: tuple[int, ...], cluster: list[int]) -> list[int]:
     return [(mask & leaders).bit_count() for mask in up]
 
 
-def find_onto_p_morphism(source: Frame, target: Frame) -> PMorphism | None:
+def find_onto_p_morphism(source: Frame, target: Frame, least: bool = True) -> PMorphism | None:
     """Exhaustive backtracking search for an onto p-morphism.
 
-    Source worlds are assigned in index order with target values tried
-    ascending, so the first solution found is the lexicographically least
-    map.  Returns None only after the whole space is pruned away.
+    With ``least`` set, source worlds are assigned in index order with
+    target values tried ascending, so the first solution found is the
+    lexicographically least map.  Otherwise they are assigned in order of
+    upset size, maxima first (the fail-first order of Haralick & Elliott,
+    1980): each world's upset is then assigned as soon as the world is, so
+    the back condition prunes at once, and the map found is any onto
+    p-morphism.  Either way None is returned only after the whole space is
+    pruned away.
 
     Since f(up w) = up f(w) and strict chains lift, every onto p-morphism
     maps w to a value of no greater depth, upset size and upset cluster
@@ -100,28 +106,33 @@ def find_onto_p_morphism(source: Frame, target: Frame) -> PMorphism | None:
         return None
     up_s, up_t = source.up, target.up
     succ_s, down_s, cluster_s, depth_s = _order_data(up_s)
-    _, down_t, cluster_t, depth_t = _order_data(up_t)
-    clusters_s, clusters_t = _cluster_counts(up_s, cluster_s), _cluster_counts(up_t, cluster_t)
+    down_t, cluster_t, depth_t = _order_views(target)
     full_s, full_t = (1 << n) - 1, (1 << m) - 1
-    sizes_t = [mask.bit_count() for mask in up_t]
-    domain = [0] * n
-    for w in range(n):
-        size, root = up_s[w].bit_count(), up_s[w] == full_s
-        for v in range(m):
-            if (depth_t[v] <= depth_s[w] and sizes_t[v] <= size
-                    and clusters_t[v] <= clusters_s[w] and (up_t[v] == full_t or not root)):
-                domain[w] |= 1 << v
-        if not domain[w]:
+    sizes_s = list(map(len, succ_s))
+    profile_t = list(zip(depth_t, map(int.bit_count, up_t), _cluster_counts(up_t, cluster_t)))
+    tops_t = mask_of(v for v in range(m) if up_t[v] == full_t)
+    domain = []
+    clusters_s = _cluster_counts(up_s, cluster_s)
+    for w, (depth, size, clusters) in enumerate(zip(depth_s, sizes_s, clusters_s)):
+        mask = 0
+        for v, (depth_v, size_v, clusters_v) in enumerate(profile_t):
+            if depth_v <= depth and size_v <= size and clusters_v <= clusters:
+                mask |= 1 << v
+        if up_s[w] == full_s:
+            mask &= tops_t
+        if not mask:
             return None
-    # forth: f(pos) lies above f(u) for each earlier u below pos, and below
-    # f(u) for each earlier u above pos
-    below = [worlds_of(down_s[w] & ((1 << w) - 1)) for w in range(n)]
-    above = [[u for u in succ_s[w] if u < w] for w in range(n)]
-    # worlds are assigned in index order, so the upset of w is fully assigned
-    # exactly after its highest member's step; back checks run there
-    completed_at = [[] for _ in range(n)]
-    for w in range(n):
-        completed_at[up_s[w].bit_length() - 1].append(w)
+        domain.append(mask)
+    order = range(n) if least else sorted(range(n), key=sizes_s.__getitem__)
+    # forth: f(order[pos]) lies above f(u) for each earlier u below it, and
+    # below f(u) for each earlier u above it; back checks run at the step
+    # that assigns the last world of an upset
+    below, above, completed_at, earlier = [], [], [], 0
+    for w in order:
+        below.append(worlds_of(down_s[w] & earlier))
+        above.append(worlds_of(up_s[w] & earlier))
+        earlier |= 1 << w
+        completed_at.append([u for u in worlds_of(down_s[w]) if not up_s[u] & ~earlier])
     assignment = [-1] * n
 
     def back_ok(w: int) -> bool:
@@ -133,7 +144,8 @@ def find_onto_p_morphism(source: Frame, target: Frame) -> PMorphism | None:
     def assign(pos: int, used: int) -> bool:
         if pos == n:
             return used == full_t
-        candidates = domain[pos]
+        w = order[pos]
+        candidates = domain[w]
         for u in below[pos]:
             candidates &= up_t[assignment[u]]
         for u in above[pos]:
@@ -141,14 +153,14 @@ def find_onto_p_morphism(source: Frame, target: Frame) -> PMorphism | None:
         while candidates:
             low = candidates & -candidates
             candidates ^= low
-            assignment[pos] = low.bit_length() - 1
+            assignment[w] = low.bit_length() - 1
             new_used = used | low
             if m - new_used.bit_count() <= n - pos - 1 and all(
-                back_ok(w) for w in completed_at[pos]
+                back_ok(u) for u in completed_at[pos]
             ):
                 if assign(pos + 1, new_used):
                     return True
-        assignment[pos] = -1
+        assignment[w] = -1
         return False
 
     if assign(0, 0):
@@ -168,7 +180,10 @@ class Permissibility:
 
 def is_permissible(config: Frame, host: Frame) -> Permissibility | None:
     """First (smallest-subframe, least-generator) witness that ``config`` is
-    an onto p-morphic image of a point-generated subframe of ``host``."""
+    an onto p-morphic image of a point-generated subframe of ``host``, with
+    the least such map.  Each generator is tested by the maxima-first
+    search, and only the first that passes is searched again for its least
+    map."""
     if not classify_frame(config).rooted:
         raise PreconditionError("permissibility is defined for rooted configurations")
     order = sorted(host.worlds(), key=lambda g: (host.up[g].bit_count(), g))
@@ -176,7 +191,6 @@ def is_permissible(config: Frame, host: Frame) -> Permissibility | None:
         if host.up[g].bit_count() < config.size:
             continue
         sub, embedding = generated_subframe(host, g)
-        pm = find_onto_p_morphism(sub, config)
-        if pm is not None:
-            return Permissibility(g, embedding, pm)
+        if find_onto_p_morphism(sub, config, least=False) is not None:
+            return Permissibility(g, embedding, find_onto_p_morphism(sub, config))
     return None

@@ -140,7 +140,16 @@ def splitting_points(frame: Frame, bound: int):
 
 def splitting_certificate(frame: Frame, bound: int) -> SplittingCertificate | None:
     """Certificate that the frame is a ``bound``-roach, scanning candidate
-    splitting points in index order; None when no point qualifies."""
+    splitting points in index order; None when no point qualifies.
+
+    At bound 2 the roaches are closed under onto p-morphic images; at
+    bound 3 they are not.  The 8-world 3-roach with edges 0 < 1..7,
+    1 < 3, 5, 6, 7, 2 < 4, 5, 6 and 3, 4, 5 < 6 has this certificate with
+    s = 1, and the map (0, 1, 2, 3, 3, 5, 6, 4) takes it onto the 7-world
+    frame with edges 0 < 1..6, 1 < 3, 4, 5, 6, 2 < 3, 5, 6 and 3, 5 < 6,
+    which has no splitting point of depth at most 3: the images of worlds
+    3 and 4 merge, so the upsets of 1 and 2 no longer meet in the upset of
+    one world."""
     if bound < 1:
         raise PreconditionError("roach depth bound must be at least 1")
     _require_frame(frame)

@@ -13,6 +13,7 @@ from roachkit import construct as C
 from roachkit import decision as D
 from roachkit import formulas as fm
 from roachkit import frames as F
+from roachkit import morphisms as M
 from roachkit import ordinals as O
 from roachkit import roach as R
 from roachkit import semantics as S
@@ -517,6 +518,21 @@ def reference_onto_p_morphism(source, target):
 
     if assign(0, 0):
         return tuple(assignment)
+    return None
+
+
+def reference_is_permissible(config, host):
+    """``morphisms.is_permissible`` as it was before the maxima-first test:
+    every generator, smallest subframe first, searched for its least map
+    alone."""
+    order = sorted(host.worlds(), key=lambda g: (host.up[g].bit_count(), g))
+    for g in order:
+        if host.up[g].bit_count() < config.size:
+            continue
+        sub, embedding = generated_subframe(host, g)
+        pm = M.find_onto_p_morphism(sub, config)
+        if pm is not None:
+            return M.Permissibility(g, embedding, pm)
     return None
 
 

@@ -100,6 +100,16 @@ def test_canonical_key_matches_reference_on_poset_candidates():
         assert fresh_key(f) == reference_canonical_key(f) == naive_canonical_key(f)
 
 
+def test_canonical_key_matches_reference_on_expansion_candidates():
+    # every cluster blow-up _preorder_classes keys on its way to 7 worlds
+    candidates = [F._expand(poset, sizes) for n in range(2, 8) for k in range(1, n)
+                  for poset in F._posets(k) for sizes in F._twin_least_compositions(poset, n)]
+    assert len(candidates) == 3112
+    assert all(max(F.cluster_masks(f), key=int.bit_count).bit_count() > 1 for f in candidates)
+    for f in candidates:
+        assert fresh_key(f) == reference_canonical_key(f)
+
+
 def with_twins(frame, rng, extra):
     """``frame`` with ``extra`` added worlds, each with the strict upset and
     downset of a random original world, and seeing it back half the time:

@@ -8,6 +8,7 @@ from conftest import (
     collapse,
     naive_depths,
     naive_onto_p_morphisms,
+    reference_is_permissible,
     reference_onto_p_morphism,
     skeleton_morphism,
 )
@@ -144,8 +145,48 @@ def _shuffled_rooted_frame(rng, n):
 
 
 def _assert_same_as_reference(source, target):
+    expected = reference_onto_p_morphism(source, target)
     pm = M.find_onto_p_morphism(source, target)
-    assert (pm.mapping if pm is not None else None) == reference_onto_p_morphism(source, target)
+    assert (pm.mapping if pm is not None else None) == expected
+    _assert_maxima_first_agrees(source, target, expected is not None)
+
+
+def _assert_maxima_first_agrees(source, target, exists):
+    pm = M.find_onto_p_morphism(source, target, least=False)
+    assert (pm is not None) == exists
+    if pm is not None:
+        assert (pm.source, pm.target) == (source, target)
+        assert M.check_p_morphism(pm, require_onto=True) is None
+
+
+def test_maxima_first_search_agrees_with_reference_on_small_pairs():
+    sources = [f for n in range(1, 6) for f in F.enumerate_frames(n)]
+    targets = [g for n in range(1, 5) for g in F.enumerate_frames(n, "rooted")]
+    found = 0
+    for source in sources:
+        for target in targets:
+            exists = reference_onto_p_morphism(source, target) is not None
+            _assert_maxima_first_agrees(source, target, exists)
+            found += exists
+    assert (len(sources) * len(targets), found) == (4070, 750)
+
+
+@pytest.mark.parametrize("kind", ["s41-rooted", "2-roach"])
+def test_permissible_matches_reference(kind):
+    # the same generator, embedding and least map as searching every
+    # generator for its least map alone
+    configs = [builtin(name) for name in ("F1", "F2", "F3")]
+    hosts = [f for n in range(1, 8) for f in F.enumerate_frames(n, kind, ceiling=7)]
+    found = 0
+    for host in hosts:
+        for config in configs:
+            witness = M.is_permissible(config, host)
+            assert witness == reference_is_permissible(config, host)
+            found += witness is not None
+    if kind == "2-roach":
+        assert found == 0  # no 2-roach admits F1, F2 or F3
+    else:
+        assert 0 < found < 3 * len(hosts)
 
 
 def test_find_matches_reference_on_census_subframes():

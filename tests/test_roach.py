@@ -426,20 +426,18 @@ def test_n_roach_generated_subframe_closure():
                     assert R.splitting_certificate(sub, bound) is not None
 
 
-def test_r3_image_closure_report():
-    # whether roach classes above 2 are closed under p-morphic images is
-    # open; survey small frames and report rather than assert
-    counterexamples = []
-    targets = [g for k in range(1, 5) for g in F.enumerate_frames(k, "s41-rooted")]
-    for size in range(1, 5):
-        for f in F.enumerate_frames(size, "s41-rooted"):
-            if R.splitting_certificate(f, 3) is None:
-                continue
-            for g in targets:
-                if M.find_onto_p_morphism(f, g) is None:
-                    continue
-                if R.splitting_certificate(g, 3) is None:
-                    counterexamples.append((f, g))
-    print(f"3-roach image-closure survey: {len(counterexamples)} counterexamples")
-    for f, g in counterexamples:
-        print("  source", f, "-> image", g)
+def test_3_roaches_are_not_closed_under_onto_images():
+    # G is a 3-roach and maps onto M, which has no depth-3 splitting point:
+    # G's worlds 3 and 4 both go to M's world 3, so up(2) and up(1) no
+    # longer meet in the upset of one world
+    g = F.normalize_frame([(0, w) for w in range(1, 8)] + [
+        (1, 3), (1, 5), (1, 6), (1, 7), (2, 4), (2, 5), (2, 6), (3, 6), (4, 6), (5, 6)], 8)
+    m = F.normalize_frame([(0, w) for w in range(1, 7)] + [
+        (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 5), (2, 6), (3, 6), (5, 6)], 7)
+    cert = R.splitting_certificate(g, 3)
+    assert cert is not None and cert.s == 1 and R.verify_splitting(g, cert)
+    assert R.splitting_certificate(m, 3) is None
+    for frame in (g, m):
+        flags = F.classify_frame(frame)
+        assert flags.rooted and flags.s41
+    assert M.check_p_morphism(M.PMorphism(g, m, (0, 1, 2, 3, 3, 5, 6, 4)), require_onto=True) is None
