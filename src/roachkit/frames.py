@@ -133,8 +133,9 @@ def _order_data(up: tuple[int, ...]):
     cost one pass per frame between them.  The successor lists are not
     kept: they take about 1 KB per frame, and most frames that need them
     (enumeration candidates in ``canonical_key``, subframes in
-    ``morphisms.find_onto_p_morphism``) are looked at once.  A caller that needs predecessor lists reads them off the down
-    masks with ``worlds_of``.
+    ``morphisms.find_onto_p_morphism``) are looked at once.  A caller that
+    needs predecessor lists reads them off the down masks with
+    ``worlds_of``.
     """
     n = len(up)
     succ = [worlds_of(mask) for mask in up]

@@ -440,4 +440,5 @@ def test_3_roaches_are_not_closed_under_onto_images():
     for frame in (g, m):
         flags = F.classify_frame(frame)
         assert flags.rooted and flags.s41
-    assert M.check_p_morphism(M.PMorphism(g, m, (0, 1, 2, 3, 3, 5, 6, 4)), require_onto=True) is None
+    onto = M.PMorphism(g, m, (0, 1, 2, 3, 3, 5, 6, 4))
+    assert M.check_p_morphism(onto, require_onto=True) is None
