@@ -68,7 +68,7 @@ def cmd_check(args) -> int:
         payload["t_map"] = list(cert.t)
         lines.append(f"splitting point: {frame.label(cert.s)} (world {cert.s})")
     if willow is not None:
-        payload["willow_splitting_point"] = willow.certificate.s
+        payload["willow_splitting_point"] = willow.s
     lines.append("willow tree" if willow is not None else "not a willow tree")
     if not memberships["R2"]:
         lines.append("forbidden-configuration witness available: run the witness command")

@@ -15,6 +15,7 @@ from .frames import (
     Frame,
     classify_frame,
     clusters_and_skeleton,
+    is_quasi_tree,
     mask_of,
     subframe,
     worlds_of,
@@ -77,7 +78,7 @@ def unravel_to_quasi_tree(frame: Frame, node_budget: int = DEFAULT_NODE_BUDGET) 
     up = [upsets[i] for i, (_, c) in enumerate(nodes) for _ in partition[c]]
     tree = Frame(len(mapping), tuple(up))
     pm = verified_morphism(tree, frame, mapping)
-    if not classify_frame(tree).quasi_tree:
+    if not is_quasi_tree(tree, (1 << tree.size) - 1):
         raise AssertionError("unraveling did not produce a quasi-tree")
     return UnravelResult(tree, pm)
 

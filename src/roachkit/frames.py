@@ -241,9 +241,6 @@ def frame_depth(frame: Frame) -> int:
 class FrameFlags:
     rooted: bool
     roots: tuple[int, ...]
-    partial_order: bool
-    quasi_tree: bool
-    tree: bool
     s41: bool
     s412: bool
     max_points: tuple[int, ...]
@@ -251,27 +248,32 @@ class FrameFlags:
 
 @_per_frame
 def classify_frame(frame: Frame) -> FrameFlags:
+    """Flags read off the upsets alone; no order pass."""
     full = (1 << frame.size) - 1
-    down = down_masks(frame)
     roots = tuple(w for w in frame.worlds() if frame.up[w] == full)
     max_points = tuple(w for w in frame.worlds() if frame.up[w] == 1 << w)
     max_mask = mask_of(max_points)
-    partial_order = all(cluster_masks(frame)[w] == 1 << w for w in frame.worlds())
     s41 = all(frame.up[w] & max_mask for w in frame.worlds())
-    s412 = s41 and len(max_points) == 1
-    # down[w] is a chain when each of its members sees, or is seen by, all of it
-    quasi_tree = bool(roots) and all(
-        not down[w] & ~(frame.up[u] | down[u]) for w in frame.worlds() for u in worlds_of(down[w]))
     return FrameFlags(
         rooted=bool(roots),
         roots=roots,
-        partial_order=partial_order,
-        quasi_tree=quasi_tree,
-        tree=quasi_tree and partial_order,
         s41=s41,
-        s412=s412,
+        s412=s41 and len(max_points) == 1,
         max_points=max_points,
     )
+
+
+def is_quasi_tree(frame: Frame, region: int) -> bool:
+    """Whether the subframe on ``region``, a downset of ``frame``, is empty
+    or a quasi-tree: some world of it sees all of it, and each member's
+    down mask is a chain.  A downset holds each member's whole downset, so
+    the frame's own down masks serve the subframe unchanged."""
+    up, down = frame.up, down_masks(frame)
+    members = worlds_of(region)
+    rooted = not members or any(not region & ~up[w] for w in members)
+    # down[w] is a chain when each of its members sees, or is seen by, all of it
+    return rooted and all(
+        not down[w] & ~(up[u] | down[u]) for w in members for u in worlds_of(down[w]))
 
 
 def subframe(frame: Frame, worlds) -> tuple[Frame, tuple[int, ...]]:

@@ -211,7 +211,6 @@ class LogicId:
     n: int | None = None
     left: "LogicId | None" = None
     right: "LogicId | None" = None
-    note: str | None = None
 
     def short(self) -> str:
         if self.kind == "S41":
@@ -265,10 +264,7 @@ def meet(left: LogicId, right: LogicId) -> LogicId:
     return LogicId("Meet", left=left, right=right)
 
 
-CONJECTURED_LINF = LogicId(
-    "ConjecturedLInf",
-    note="for least exponent at least w the logic is conjectured to be L_inf; no theorem is claimed",
-)
+CONJECTURED_LINF = LogicId("ConjecturedLInf")
 
 
 def logic_of_ordinal_space(gamma: Ordinal) -> LogicId:

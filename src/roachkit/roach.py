@@ -33,9 +33,9 @@ from .frames import (
     depth_vector,
     downset_mask,
     generated_subframe,
+    is_quasi_tree,
     mask_of,
     normalize_frame,
-    subframe,
     worlds_of,
 )
 from .morphisms import PMorphism, verified_morphism
@@ -254,23 +254,15 @@ def _with_tails(body: Frame, tails: tuple[tuple[int, ...], ...]):
         yield _closed_frame(n, tuple(up))
 
 
-@record
-class WillowEvidence:
-    certificate: SplittingCertificate
-    body: tuple[int, ...]
-
-
-def is_willow_tree(frame: Frame) -> WillowEvidence | None:
+def is_willow_tree(frame: Frame) -> SplittingCertificate | None:
     """A 2-roach is a willow tree when, for some splitting point, the
-    subframe outside its upset is a quasi-tree (or empty)."""
+    subframe outside its upset is a quasi-tree (or empty).  That subframe
+    is a downset, so it is tested on the frame's own masks."""
     _require_frame(frame)
+    full = (1 << frame.size) - 1
     for s, t in splitting_points(frame, 2):
-        body_mask = ((1 << frame.size) - 1) & ~frame.up[s]
-        if body_mask == 0:
-            return WillowEvidence(SplittingCertificate(s, 2, t), ())
-        body, _ = subframe(frame, worlds_of(body_mask))
-        if classify_frame(body).quasi_tree:
-            return WillowEvidence(SplittingCertificate(s, 2, t), worlds_of(body_mask))
+        if is_quasi_tree(frame, full & ~frame.up[s]):
+            return SplittingCertificate(s, 2, t)
     return None
 
 

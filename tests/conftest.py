@@ -759,17 +759,15 @@ def reference_is_2_roach(frame):
 
 def reference_is_willow_tree(frame):
     """``is_willow_tree`` gated on ``reference_is_2_roach`` before it walks
-    the splitting points."""
+    the splitting points, with each body subframe tested pair by pair by
+    ``reference_quasi_tree``."""
     R._require_frame(frame)
     if reference_is_2_roach(frame) is None:
         return None
     for s, t in R.splitting_points(frame, 2):
-        body_mask = ((1 << frame.size) - 1) & ~frame.up[s]
-        if body_mask == 0:
-            return R.WillowEvidence(R.SplittingCertificate(s, 2, t), ())
-        body, _ = F.subframe(frame, worlds_of(body_mask))
-        if classify_frame(body).quasi_tree:
-            return R.WillowEvidence(R.SplittingCertificate(s, 2, t), worlds_of(body_mask))
+        body = [w for w in frame.worlds() if not frame.le(s, w)]
+        if not body or reference_quasi_tree(F.subframe(frame, body)[0]):
+            return R.SplittingCertificate(s, 2, t)
     return None
 
 
@@ -779,16 +777,22 @@ def reference_pairs(frame):
 
 
 def reference_quasi_tree(frame):
-    """The quasi-tree flag: rooted, and any two worlds of a downset are
-    comparable, tested pair by pair."""
-    if not classify_frame(frame).rooted:
+    """The quasi-tree property: some world sees every world, and any two
+    worlds of a downset are comparable, tested pair by pair with ``le``."""
+    worlds = frame.worlds()
+    if not any(all(frame.le(r, w) for w in worlds) for r in worlds):
         return False
-    for w in frame.worlds():
-        below = worlds_of(F.down_masks(frame)[w])
+    for w in worlds:
+        below = [u for u in worlds if frame.le(u, w)]
         for u, v in itertools.combinations(below, 2):
             if not (frame.le(u, v) or frame.le(v, u)):
                 return False
     return True
+
+
+def is_partial_order(frame):
+    """Whether every cluster of the frame is a single world."""
+    return all(c == 1 << w for w, c in enumerate(cluster_masks(frame)))
 
 
 def reference_clusters_and_skeleton(frame):

@@ -2,7 +2,12 @@ import sys
 
 import pytest
 
-from conftest import random_frames, reference_roach_to_willow, reference_unravel_to_quasi_tree
+from conftest import (
+    is_partial_order,
+    random_frames,
+    reference_roach_to_willow,
+    reference_unravel_to_quasi_tree,
+)
 from roachkit import construct as C
 from roachkit import formulas as fm
 from roachkit import frames as F
@@ -23,7 +28,7 @@ def test_unravel_tree_is_fixed_point():
 def test_unravel_quasi_tree_with_clusters_is_fixed_point():
     # a two-cluster root below one maximum is already a quasi-tree
     f = F.normalize_frame([(0, 1), (1, 0), (0, 2)], 3)
-    assert F.classify_frame(f).quasi_tree
+    assert F.is_quasi_tree(f, 0b111)
     result = C.unravel_to_quasi_tree(f)
     assert F.are_isomorphic(result.tree, f)
 
@@ -31,7 +36,7 @@ def test_unravel_quasi_tree_with_clusters_is_fixed_point():
 def test_unravel_f3():
     result = C.unravel_to_quasi_tree(R.builtin("F3"))
     assert result.tree.size == 7  # both maxima duplicated under each middle
-    assert F.classify_frame(result.tree).tree
+    assert is_partial_order(result.tree) and F.is_quasi_tree(result.tree, (1 << 7) - 1)
     assert F.frame_depth(result.tree) == 3
     assert M.check_p_morphism(result.morphism, require_onto=True) is None
 
@@ -45,10 +50,9 @@ def test_unravel_poset_gives_tree():
     for n in range(1, 6):
         for f in F.enumerate_frames(n, "rooted"):
             result = C.unravel_to_quasi_tree(f)
-            flags = F.classify_frame(result.tree)
-            assert flags.quasi_tree
-            if F.classify_frame(f).partial_order:
-                assert flags.tree
+            assert F.is_quasi_tree(result.tree, (1 << result.tree.size) - 1)
+            if is_partial_order(f):
+                assert is_partial_order(result.tree)
             assert M.check_p_morphism(result.morphism, require_onto=True) is None
 
 
@@ -136,10 +140,10 @@ def test_willow_idempotent_on_willow_trees():
 def test_willow_poset_input_gives_poset_tree():
     # partially ordered 2-roach whose body needs unraveling
     f = F.normalize_frame([(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5)], 6)
-    assert F.classify_frame(f).partial_order
+    assert is_partial_order(f)
     assert R.is_willow_tree(f) is None
     result = C.roach_to_willow(f)
-    assert F.classify_frame(result.tree).partial_order
+    assert is_partial_order(result.tree)
     assert R.is_willow_tree(result.tree) is not None
     assert M.check_p_morphism(result.morphism, require_onto=True) is None
 
@@ -193,7 +197,7 @@ def test_skeleton_of_willow_tree_is_poset_willow_tree():
     for n in range(1, 7):
         for f in F.enumerate_frames(n, "willow"):
             _, skeleton, _ = F.clusters_and_skeleton(f)
-            assert F.classify_frame(skeleton).partial_order
+            assert is_partial_order(skeleton)
             assert R.is_willow_tree(skeleton) is not None
 
 

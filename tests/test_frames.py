@@ -7,6 +7,7 @@ from functools import lru_cache
 import pytest
 
 from conftest import (
+    is_partial_order,
     naive_canonical_key,
     naive_depths,
     naive_preorder_classes,
@@ -78,7 +79,7 @@ def test_normalize_matches_reachability_on_random_relations():
         expected = {(u, w) for u in range(n) for w in reachable(pairs, u)}
         f = F.normalize_frame(pairs, n)
         assert set(f.pairs()) == expected
-        cyclic += not F.classify_frame(f).partial_order
+        cyclic += not is_partial_order(f)
         if expected == set(pairs) | {(w, w) for w in range(n)}:
             assert F.normalize_frame(pairs, n, strict=True) == f
         else:
@@ -125,7 +126,7 @@ def test_clusters_of_f2():
     partition, skeleton, pi = F.clusters_and_skeleton(builtin("F2"))
     assert sorted(map(sorted, partition)) == [[0, 1], [2], [3]]
     assert skeleton.size == 3
-    assert F.classify_frame(skeleton).partial_order
+    assert is_partial_order(skeleton)
     assert pi[0] == pi[1]
 
 
@@ -167,16 +168,27 @@ def test_order_queries_match_pairwise_references():
     classes = [f for n in range(1, 7) for f in F.enumerate_frames(n)]
     randoms = random_frames(11, 300, 12) + random_frames(12, 300, 12, rooted=True)
     for f in classes + randoms:
-        assert F.classify_frame(f).quasi_tree == reference_quasi_tree(f)
+        assert F.is_quasi_tree(f, (1 << f.size) - 1) == reference_quasi_tree(f)
         assert F.clusters_and_skeleton(f) == reference_clusters_and_skeleton(f)
         assert f.pairs() == reference_pairs(f)
     # the random frames reach past 6 worlds, have clusters, and hold
     # quasi-trees with and without clusters as well as rooted non-quasi-trees
-    flags = [F.classify_frame(f) for f in randoms if f.size > 6]
-    assert sum(not x.partial_order for x in flags) > 150
-    assert sum(x.quasi_tree and x.partial_order for x in flags) > 25
-    assert sum(x.quasi_tree and not x.partial_order for x in flags) > 80
-    assert sum(x.rooted and not x.quasi_tree for x in flags) > 40
+    flags = [(F.classify_frame(f).rooted, F.is_quasi_tree(f, (1 << f.size) - 1), is_partial_order(f))
+             for f in randoms if f.size > 6]
+    assert sum(not poset for _, _, poset in flags) > 150
+    assert sum(quasi and poset for _, quasi, poset in flags) > 25
+    assert sum(quasi and not poset for _, quasi, poset in flags) > 80
+    assert sum(rooted and not quasi for rooted, quasi, _ in flags) > 40
+
+
+def test_is_quasi_tree_matches_the_pairwise_reference_on_every_downset():
+    for n in range(1, 6):
+        for f in F.enumerate_frames(n, "all"):
+            for d in range(1 << n):
+                if F.downset_mask(f, d) != d:
+                    continue
+                expected = d == 0 or reference_quasi_tree(F.subframe(f, F.worlds_of(d))[0])
+                assert F.is_quasi_tree(f, d) == expected, (f, d)
 
 
 def test_derived_values_are_freed_with_their_frame():
@@ -243,7 +255,8 @@ def test_depth_monotone_and_cluster_constant():
 
 def test_classify_f1():
     flags = F.classify_frame(builtin("F1"))
-    assert flags.rooted and flags.partial_order and flags.s41 and not flags.s412
+    assert flags.rooted and flags.s41 and not flags.s412
+    assert is_partial_order(builtin("F1"))
     assert set(flags.max_points) == {2, 3}
 
 
@@ -251,26 +264,30 @@ def test_classify_g():
     flags = F.classify_frame(builtin("G"))
     assert flags.rooted and flags.roots == (0, 1)
     assert flags.s41 and not flags.s412
-    assert not flags.partial_order
+    assert not is_partial_order(builtin("G"))
 
 
 def test_classify_point_all_flags():
-    flags = F.classify_frame(builtin("point"))
-    assert all([flags.rooted, flags.partial_order, flags.quasi_tree, flags.tree,
+    point = builtin("point")
+    flags = F.classify_frame(point)
+    assert all([flags.rooted, is_partial_order(point), F.is_quasi_tree(point, 1),
                 flags.s41, flags.s412])
 
 
 def test_classify_chain_is_tree():
-    flags = F.classify_frame(builtin("chain", 4))
-    assert flags.tree and flags.quasi_tree
+    chain = builtin("chain", 4)
+    assert is_partial_order(chain) and F.is_quasi_tree(chain, 0b1111)
 
 
 def test_classify_fork_not_quasi_tree_reversed():
     # two incomparable points above a root: downsets are chains, still a tree
-    assert F.classify_frame(builtin("two_fork")).tree
+    two_fork = builtin("two_fork")
+    assert is_partial_order(two_fork) and F.is_quasi_tree(two_fork, 0b111)
     # diamond: two incomparable middles below a common top is not a quasi-tree
     diamond = F.normalize_frame([(0, 1), (0, 2), (1, 3), (2, 3)], 4)
-    assert not F.classify_frame(diamond).quasi_tree
+    assert not F.is_quasi_tree(diamond, 0b1111)
+    # below the top, a root under two incomparable worlds; and the empty downset
+    assert F.is_quasi_tree(diamond, 0b0111) and F.is_quasi_tree(diamond, 0)
 
 
 def test_generated_subframe_of_f3():

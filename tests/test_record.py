@@ -43,7 +43,7 @@ def _samples():
         fm.Implies(p, q), fm.Box(p), fm.Diamond(q), P.compile_formula(fm.parse("[]p -> p")),
         S.Model(f1, {"p": {1}}), pm, M.Violation("forth", (0, 1)),
         M.Permissibility(0, (0, 1, 2, 3), pm), C.UnravelResult(f1, pm), cert,
-        R.ForbiddenWitness("F1", 0, (0, 1, 2, 3), pm), R.WillowEvidence(cert, ()),
+        R.ForbiddenWitness("F1", 0, (0, 1, 2, 3), pm),
         D.Refuted(S.Model(f1, {}), 0), D.NoCountermodelUpTo(3), O.parse_ordinal("w^2 + 1"),
         O.LogicId("Meet", left=ln, right=O.LogicId("S412")),
         A.CriterionResult("decide", True, "exact", 0.5),
@@ -54,7 +54,7 @@ def test_every_record_class_has_a_sample():
     records = {cls for module in vars(roachkit).values() if isinstance(module, type(roachkit))
                for cls in vars(module).values()
                if isinstance(cls, type) and "__match_args__" in cls.__dict__}
-    assert len(records) == 25
+    assert len(records) == 24
     assert records == {type(obj) for obj in _samples()}
 
 
@@ -142,7 +142,7 @@ def test_pinned_reprs():
         "SplittingCertificate(s=0, bound=3, t=(0, 1, 2, 3, 4))"
     )
     assert repr(O.classify_beta_logic(O.parse_ordinal("w^2"))) == (
-        "LogicId(kind='LN', n=2, left=None, right=None, note=None)"
+        "LogicId(kind='LN', n=2, left=None, right=None)"
     )
     assert repr(fm.parse("p & ~[]q")) == (
         "And(left=Var(name='p'), right=Not(operand=Box(operand=Var(name='q'))))"

@@ -145,6 +145,9 @@ def test_is_2_roach_matches_the_characterization_through_seven_worlds():
     for f in classes + relabeled:
         assert R.is_2_roach(f) == reference_is_2_roach(f), f
         assert R.is_willow_tree(f) == reference_is_willow_tree(f), f
+    # the willow test also on every 2-roach of 8 worlds
+    roaches = F.enumerate_frames(8, "2-roach", ceiling=8)
+    assert all(R.is_willow_tree(f) == reference_is_willow_tree(f) for f in roaches)
 
 
 def test_roach_hierarchy_is_monotone():
@@ -215,22 +218,22 @@ def test_splitting_point_unique_outside_s412():
 
 
 def test_is_willow_tree_two_fork():
-    evidence = R.is_willow_tree(R.builtin("two_fork"))
-    assert evidence is not None and evidence.body == ()
+    # the splitting point is the root, so nothing lies outside its upset
+    cert = R.is_willow_tree(R.builtin("two_fork"))
+    assert cert is not None and R.builtin("two_fork").up[cert.s] == 0b111
 
 
 def test_is_willow_tree_chain():
-    evidence = R.is_willow_tree(R.builtin("chain", 3))
-    assert evidence is not None
+    assert R.is_willow_tree(R.builtin("chain", 3)) is not None
 
 
 def test_is_willow_tree_v_body():
     # body {r < a, r < b}, splitting point above both, two maxima
     f = F.normalize_frame([(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5)], 6)
     assert R.is_2_roach(f) is not None
-    evidence = R.is_willow_tree(f)
-    assert evidence is not None
-    assert set(evidence.body) == {0, 1, 2}
+    cert = R.is_willow_tree(f)
+    assert cert is not None
+    assert F.worlds_of(0b111111 & ~f.up[cert.s]) == (0, 1, 2)
 
 
 def test_is_willow_tree_diamond_body_fails():
