@@ -131,11 +131,17 @@ def _order_data(up: tuple[int, ...]):
     The three mask views, ``down_masks``, ``cluster_masks`` and
     ``depth_vector``, are kept on the frame by ``_order_views``, so they
     cost one pass per frame between them.  The successor lists are not
-    kept: they take about 1 KB per frame, and most frames that need them
-    (enumeration candidates in ``canonical_key``, subframes in
-    ``morphisms.find_onto_p_morphism``) are looked at once.  A caller that
+    kept: they take about 1 KB per frame, and the enumeration candidates
+    that ``canonical_key`` passes here are looked at once.  A caller that
     needs predecessor lists reads them off the down masks with
     ``worlds_of``.
+
+    An upset of a frame can be passed as the frame's upsets with every
+    world outside it given the empty mask: an upset holds its members'
+    upsets, so its members get exactly their data in the frame, and the
+    pass walks the related pairs of the upset alone.  The
+    permissibility search (``morphisms.is_permissible``) passes a big
+    host's searchable part this way.
     """
     n = len(up)
     succ = [worlds_of(mask) for mask in up]

@@ -176,7 +176,8 @@ def test_permissible_matches_reference(kind):
     # the same generator, embedding and least map as searching every
     # generator for its least map alone
     configs = [builtin(name) for name in ("F1", "F2", "F3")]
-    hosts = [f for n in range(1, 8) for f in F.enumerate_frames(n, kind, ceiling=7)]
+    top = {"s41-rooted": 7, "2-roach": 8}[kind]
+    hosts = [f for n in range(1, top + 1) for f in F.enumerate_frames(n, kind, ceiling=top)]
     found = 0
     for host in hosts:
         for config in configs:
@@ -268,6 +269,23 @@ def test_permissible_self():
 def test_permissible_needs_rooted_config():
     with pytest.raises(PreconditionError):
         M.is_permissible(F.normalize_frame([], 2), builtin("F1"))
+
+
+def test_permissible_on_hosts_above_the_search_ceiling():
+    # generators are tried smallest upset first, so a witness below the
+    # ceiling is found before any larger upset is reached
+    host = F.normalize_frame([(0, w) for w in range(1, 12)] + [(1, 2), (1, 3)], 12)
+    found = M.is_permissible(builtin("two_fork"), host)
+    assert (found.generator, found.embedding, found.morphism.mapping) == (1, (1, 2, 3), (0, 1, 2))
+    assert found.morphism.source == F.generated_subframe(host, 1)[0]
+    assert M.is_permissible(builtin("chain", 11), builtin("F1")) is None
+    # with no witness below it, the first generator above the ceiling raises
+    above = f"frames above SEARCH_CEILING = {M.SEARCH_CEILING} worlds are not searched"
+    for config, host in ((builtin("two_fork"), builtin("chain", 12)),
+                         (builtin("F1"), host),
+                         (builtin("chain", 11), builtin("chain", 12))):
+        with pytest.raises(PreconditionError, match=above):
+            M.is_permissible(config, host)
 
 
 def test_f1_not_permissible_in_small_2_roaches():
