@@ -23,6 +23,13 @@ re-check of its countermodel.  Every call gets a freshly parsed formula
 (parsed outside the timing), and the line gives the median microseconds
 per query.
 
+Another line times S4 theorems: seeded substitution instances of T, 4, K,
+``p -> <>p`` and ``p -> (q -> p)`` over 1 to 4 variables, decided end to
+end at the bound the perfbench decide workload gives their variable count
+(6, 6, 5, 4).  ``decide_lr2`` settles each by a closed S4 tableau after
+scanning the one-world frame; the line gives the median microseconds per
+query, each formula freshly parsed as above.
+
     PYTHONPATH=src python benchmarks/bench_scan.py [--quick] [--json]
 
 ``--json`` prints one JSON line instead of the table.
@@ -44,6 +51,15 @@ from roachkit._program import compile_formula
 
 
 POINT_QUERY_ROW = "decide_lr2 point queries, freshly parsed"
+S4_THEOREM_ROW = "decide_lr2 on S4 theorems"
+# the perfbench decide workload's bound per variable count
+BOUND_FOR_VARS = {1: 6, 2: 6, 3: 5, 4: 4}
+# S4 theorems, as functions of two formulas
+S4_SCHEMATA = (lambda a, b: fm.Implies(fm.Box(a), a),
+               lambda a, b: fm.Implies(fm.Box(a), fm.Box(fm.Box(a))),
+               lambda a, b: fm.Implies(fm.Box(fm.Implies(a, b)), fm.Implies(fm.Box(a), fm.Box(b))),
+               lambda a, b: fm.Implies(a, fm.Diamond(a)),
+               lambda a, b: fm.Implies(a, fm.Implies(b, a)))
 
 # valid on every 2-roach, so each small scan covers its whole space
 SMALL_SCAN_FORMULAS = ("[]p -> p", "[]p -> [][]p", "<>[]p -> []<>p",
@@ -117,26 +133,42 @@ def _random_formula(rng, names, n_binary, n_unary):
 
 
 def point_queries(quick):
-    """(texts, passes): seeded formulas refuted on the one-world frame."""
-    rng, point, texts = random.Random(1), R.builtin("point"), []
-    while len(texts) < (20 if quick else 120):
-        names = ["p", "q", "r", "s"][: 1 + len(texts) % 4]
+    """(queries, passes): seeded formulas refuted on the one-world frame,
+    each with the bound 4."""
+    rng, point, queries = random.Random(1), R.builtin("point"), []
+    while len(queries) < (20 if quick else 120):
+        names = ["p", "q", "r", "s"][: 1 + len(queries) % 4]
         phi = _random_formula(rng, names, 6, 6)
         if S.find_refutation(point, phi) is not None:
-            texts.append(fm.render(phi))
-    return texts, 2 if quick else 20
+            queries.append((fm.render(phi), 4))
+    return queries, 2 if quick else 20
 
 
-def run_point_queries(texts, passes):
-    """(queries, seconds, median microseconds per query)."""
+def s4_theorems(quick):
+    """(queries, passes): seeded instances of ``S4_SCHEMATA``, each with
+    the bound of its variable count."""
+    rng, queries = random.Random(2), []
+    for k in (1, 2, 3, 4):
+        names = ["p", "q", "r", "s"][:k]
+        for schema in S4_SCHEMATA * (1 if quick else 4):
+            a = _random_formula(rng, names, 3, 3)
+            b = _random_formula(rng, names[:2], 1, 1)
+            phi = schema(a, b)
+            queries.append((fm.render(phi), BOUND_FOR_VARS[len(fm.variables(phi))]))
+    return queries, 2 if quick else 20
+
+
+def run_queries(queries, passes, expected):
+    """(queries, seconds, median microseconds per query); each verdict must
+    satisfy ``expected``."""
     times = []
     for _ in range(passes):
-        for text in texts:
+        for text, bound in queries:
             phi = fm.parse(text)
             start = time.perf_counter()
-            verdict = D.decide_lr2(phi, 4)
+            verdict = D.decide_lr2(phi, bound)
             times.append(time.perf_counter() - start)
-            assert verdict.model.frame.size == 1
+            assert expected(verdict, bound), (text, verdict)
     return len(times), sum(times), statistics.median(times) * 1e6
 
 
@@ -147,15 +179,20 @@ def main():
     args = parser.parse_args()
 
     results = run(workload(args.quick))
-    queries, query_seconds, us_per_query = run_point_queries(*point_queries(args.quick))
+    query_rows = [
+        (POINT_QUERY_ROW, "point_queries", *run_queries(
+            *point_queries(args.quick), lambda verdict, bound: verdict.model.frame.size == 1)),
+        (S4_THEOREM_ROW, "s4_theorems", *run_queries(
+            *s4_theorems(args.quick), lambda verdict, bound: verdict == D.NoCountermodelUpTo(bound))),
+    ]
     if args.json:
         print(json.dumps({"quick": args.quick, "workloads": [
             {"workload": name, "scans": scans, "frames": frames, "valuations": valuations,
              "seconds": seconds, "scans_per_s": scans / seconds, "frames_per_s": frames / seconds,
              "valuations_per_s": valuations / seconds}
             for name, scans, frames, seconds, valuations in results],
-            "point_queries": {"workload": POINT_QUERY_ROW, "queries": queries,
-                              "seconds": query_seconds, "us_per_query": us_per_query}}))
+            **{key: {"workload": name, "queries": queries, "seconds": seconds, "us_per_query": us}
+               for name, key, queries, seconds, us in query_rows}}))
         return
     width = max(len(name) for name, *_ in results)
     header = (f"{'workload':<{width}}  {'scans':>6}  {'frames':>6}  {'seconds':>9}  {'scans/s':>9}"
@@ -165,8 +202,8 @@ def main():
     for name, scans, frames, seconds, valuations in results:
         print(f"{name:<{width}}  {scans:>6}  {frames:>6}  {seconds:>8.2f}s  {scans / seconds:>9.0f}"
               f"  {frames / seconds:>9.0f}  {valuations / seconds:>10.3e}")
-    print(f"{POINT_QUERY_ROW}: {queries} queries in {query_seconds:.2f}s,"
-          f" median {us_per_query:.1f} us per query")
+    for name, _, queries, seconds, us in query_rows:
+        print(f"{name}: {queries} queries in {seconds:.2f}s, median {us:.1f} us per query")
 
 
 if __name__ == "__main__":

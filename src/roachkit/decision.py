@@ -13,11 +13,11 @@ from itertools import islice
 
 from ._record import record
 from . import formulas as fm
-from . import morphisms, roach
+from . import _tableau, morphisms, roach
 from .errors import BudgetExceededError, CeilingExceededError
 from .frames import enumerate_frames
-from .semantics import (Model, _least_refuted_world, batch_size, find_batch_refutation,
-                        find_refutation)
+from .semantics import (DEFAULT_BUDGET, Model, _least_refuted_world, batch_size,
+                        find_batch_refutation, find_refutation)
 
 DECISION_CEILING = 8
 
@@ -49,6 +49,13 @@ def decide_lr2(phi: fm.Formula, bound: int) -> Verdict:
     A ``Refuted`` verdict is sound unconditionally.  ``NoCountermodelUpTo``
     only reports a clean bounded search; it is not a theoremhood claim.
 
+    Every S4 theorem lies in the logic, so no 2-roach refutes it.  Once the
+    one-world frame scans clean, a closed S4 tableau for ``phi`` ends the
+    search with ``NoCountermodelUpTo(bound)``, the verdict the scan would
+    give; the verdict still claims only the bounded search.  The proof is
+    not tried for frame formulas, nor when some scan up to the bound would
+    exceed the scan's budget, so such a query raises as the scan would.
+
     The frame formula of a rooted frame F (recognized by
     ``formulas.jankov_frame``) is valid on G exactly when F is not an onto
     p-morphic image of a point-generated subframe of G, so a 2-roach G for
@@ -68,6 +75,9 @@ def decide_lr2(phi: fm.Formula, bound: int) -> Verdict:
         raise CeilingExceededError(f"bound must lie in 1..{DECISION_CEILING}")
     config = fm.jankov_frame(phi)
     for size in range(1, bound + 1):
+        if (size == 2 and config is None and 1 << len(fm.variables(phi)) * bound <= DEFAULT_BUDGET
+                and _tableau.s4_valid(phi)):
+            return NoCountermodelUpTo(bound)
         frames = iter(enumerate_frames(size, "2-roach", ceiling=DECISION_CEILING))
         if config is not None:
             frames = (frame for frame in frames if morphisms.is_permissible(config, frame))

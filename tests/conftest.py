@@ -5,6 +5,7 @@ library's answers are checked against independent code paths."""
 import itertools
 import random
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -1258,6 +1259,24 @@ def reference_scan_decide_lr2(phi, bound):
                 valuation, world = refutation
                 return D.Refuted(S.Model(frame, valuation), world)
     return D.NoCountermodelUpTo(bound)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_decide_queries(monkeypatch):
+    """``(phi, bound)`` of every ``decide_lr2`` query the perfbench decide
+    workload makes on seeds 1 and 7919, in its order."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    queries = []
+    with monkeypatch.context() as patch:
+        patch.setattr(D, "decide_lr2", lambda phi, bound: queries.append((phi, bound)))
+        for seed in (1, 7919):
+            for op in workloads.make("decide", seed, "full").ops:
+                op.call()
+    return queries
 
 
 @pytest.fixture(scope="session")

@@ -1,30 +1,22 @@
 import random
-from pathlib import Path
 
-from conftest import formula_with_repeats, reference_compile_formula, reference_dying_slots
+from conftest import (formula_with_repeats, perfbench_decide_queries, reference_compile_formula,
+                      reference_dying_slots)
 from roachkit import _scan_py
-from roachkit import decision as D
 from roachkit import formulas as fm
 from roachkit import frames as F
 from roachkit import semantics as S
 from roachkit._program import OP_NOT, compile_formula
 from roachkit.roach import builtin
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
 
 def _perfbench_formulas(monkeypatch):
     """Every formula the perfbench decide workload queries on seeds 1 and
     7919, and every formula its census workload checks for validity."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import workloads
+    seen = [phi for phi, _ in perfbench_decide_queries(monkeypatch)]
+    import workloads  # on the path perfbench_decide_queries added
 
-    seen = []
-    monkeypatch.setattr(D, "decide_lr2", lambda phi, bound: seen.append(phi))
     monkeypatch.setattr(S, "frame_validates", lambda frame, phi: seen.append(phi))
-    for seed in (1, 7919):
-        for op in workloads.make("decide", seed, "full").ops:
-            op.call()
     for op in workloads.make("census", 1, "tiny").ops:
         if op.label.startswith(("enumerate/", "validity/")):
             op.call()
