@@ -14,7 +14,7 @@ second and the valuations per second; a scan covers 2^(k*n) valuations per
 frame when the formula is valid on its frames, else its least refuting
 index plus one.
 
-A last line times point queries: seeded random formulas of 6 binary and 6
+A further line times point queries: seeded random formulas of 6 binary and 6
 unary connectives over 1 to 4 variables, each refuted on the one-world
 frame, decided end to end by ``decision.decide_lr2`` at bound 4.  Such a
 query stops at its first frame, so its time is a query's fixed cost:
@@ -29,6 +29,15 @@ end at the bound the perfbench decide workload gives their variable count
 (6, 6, 5, 4).  ``decide_lr2`` settles each by a closed S4 tableau after
 scanning the one-world frame; the line gives the median microseconds per
 query, each formula freshly parsed as above.
+
+The last line times L_2 axiom instances: each axiom of
+``decision.lr2_axioms`` at the bound the perfbench decide workload gives
+it (ma 6, chi_F1 and chi_F2 5, chi_F3 4), seeded instances of chi_F with
+each variable replaced by a random formula over p and q at the same
+bound, and seeded instances of ma over 1 to 4 variables at the bound of
+their variable count.  ``decide_lr2`` settles each as an axiom instance
+after scanning the one-world frame; the line gives the median
+microseconds per query, each formula freshly parsed as above.
 
     PYTHONPATH=src python benchmarks/bench_scan.py [--quick] [--json]
 
@@ -52,6 +61,7 @@ from roachkit._program import compile_formula
 
 POINT_QUERY_ROW = "decide_lr2 point queries, freshly parsed"
 S4_THEOREM_ROW = "decide_lr2 on S4 theorems"
+AXIOM_INSTANCE_ROW = "decide_lr2 on L_2 axiom instances"
 # the perfbench decide workload's bound per variable count
 BOUND_FOR_VARS = {1: 6, 2: 6, 3: 5, 4: 4}
 # S4 theorems, as functions of two formulas
@@ -158,6 +168,35 @@ def s4_theorems(quick):
     return queries, 2 if quick else 20
 
 
+def _substitute(phi, sub):
+    """``phi`` with each variable ``name`` replaced by ``sub[name]``."""
+    done = {}
+    for f in fm.postorder(phi):
+        kind = type(f)
+        done[id(f)] = sub[f.name] if kind is fm.Var else kind(
+            *(done[id(getattr(f, name))] for name in kind.__match_args__))
+    return done[id(phi)]
+
+
+def axiom_instances(quick):
+    """(queries, passes): the L_2 axioms and seeded instances of them,
+    each with its perfbench bound."""
+    rng, queries = random.Random(3), []
+    ma, *chis = D.lr2_axioms()
+    queries.append((fm.render(ma), 6))
+    for k in (1, 2, 3, 4):
+        for _ in range(1 if quick else 4):
+            a = _random_formula(rng, ["p", "q", "r", "s"][:k], 3, 3)
+            phi = _substitute(ma, {"p": a})
+            queries.append((fm.render(phi), BOUND_FOR_VARS[len(fm.variables(phi))]))
+    for chi, bound in zip(chis, (5, 5, 4)):
+        queries.append((fm.render(chi), bound))
+        for _ in range(1 if quick else 3):
+            sub = {v: _random_formula(rng, ["p", "q"], 1, 1) for v in fm.variables(chi)}
+            queries.append((fm.render(_substitute(chi, sub)), bound))
+    return queries, 2 if quick else 20
+
+
 def run_queries(queries, passes, expected):
     """(queries, seconds, median microseconds per query); each verdict must
     satisfy ``expected``."""
@@ -184,6 +223,8 @@ def main():
             *point_queries(args.quick), lambda verdict, bound: verdict.model.frame.size == 1)),
         (S4_THEOREM_ROW, "s4_theorems", *run_queries(
             *s4_theorems(args.quick), lambda verdict, bound: verdict == D.NoCountermodelUpTo(bound))),
+        (AXIOM_INSTANCE_ROW, "axiom_instances", *run_queries(
+            *axiom_instances(args.quick), lambda verdict, bound: verdict == D.NoCountermodelUpTo(bound))),
     ]
     if args.json:
         print(json.dumps({"quick": args.quick, "workloads": [

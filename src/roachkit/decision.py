@@ -9,6 +9,7 @@ size bound is known, so a clean search up to the bound is reported as
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import islice
 
 from ._record import record
@@ -38,9 +39,53 @@ Verdict = Refuted | NoCountermodelUpTo
 
 def lr2_axioms() -> list[fm.Formula]:
     """McKinsey plus the frame formulas of F1, F2, F3."""
-    return [fm.axiom("ma")] + [
-        fm.fine_jankov(roach.builtin(name)) for name in roach.FORBIDDEN_NAMES
-    ]
+    return [fm.axiom("ma")] + [fm.fine_jankov(frame) for frame in _forbidden_frames()]
+
+
+@cache
+def _forbidden_frames() -> tuple:
+    """F1, F2, F3, built on first use."""
+    return tuple(roach.builtin(name) for name in roach.FORBIDDEN_NAMES)
+
+
+@cache
+def _schemata() -> tuple:
+    """The axioms of ``lr2_axioms``, built on first use."""
+    return tuple(lr2_axioms())
+
+
+def _axiom_instance(phi: fm.Formula) -> bool:
+    """Whether ``phi`` is a substitution instance of ma or of some chi_F.
+
+    ``phi`` is matched against each schema on an explicit stack, node type
+    by node type, down to the schema's variables.  Only when the shape fits
+    are ``phi``'s nodes interned as ``(kind, operand ids)``, so that equal
+    subtrees get one id; the match holds when each schema variable is bound
+    to one id at all its occurrences.  No formula tree is compared with
+    ``==``, so nothing recurses on ``phi``'s depth."""
+    ids = None
+    for schema in _schemata():
+        binding, stack = {}, [(schema, phi)]
+        while stack:
+            s, f = stack.pop()
+            kind = type(s)
+            if kind is fm.Var:
+                binding.setdefault(s.name, []).append(f)
+            elif kind is type(f):
+                stack += ((getattr(s, name), getattr(f, name)) for name in kind.__match_args__)
+            else:
+                break
+        else:
+            if ids is None:
+                ids, keys = {}, {}
+                for f in fm.postorder(phi):
+                    kind = type(f)
+                    key = (kind, f.name) if kind is fm.Var else (
+                        kind, *(ids[id(getattr(f, name))] for name in kind.__match_args__))
+                    ids[id(f)] = keys.setdefault(key, len(keys))
+            if all(len({ids[id(f)] for f in fs}) == 1 for fs in binding.values()):
+                return True
+    return False
 
 
 def decide_lr2(phi: fm.Formula, bound: int) -> Verdict:
@@ -49,12 +94,17 @@ def decide_lr2(phi: fm.Formula, bound: int) -> Verdict:
     A ``Refuted`` verdict is sound unconditionally.  ``NoCountermodelUpTo``
     only reports a clean bounded search; it is not a theoremhood claim.
 
-    Every S4 theorem lies in the logic, so no 2-roach refutes it.  Once the
-    one-world frame scans clean, a closed S4 tableau for ``phi`` ends the
-    search with ``NoCountermodelUpTo(bound)``, the verdict the scan would
-    give; the verdict still claims only the bounded search.  The proof is
-    not tried for frame formulas, nor when some scan up to the bound would
-    exceed the scan's budget, so such a query raises as the scan would.
+    Every S4 theorem and every substitution instance of an axiom of
+    ``lr2_axioms`` lies in the logic, so no 2-roach refutes it.  Once the
+    one-world frame scans clean, the search ends with
+    ``NoCountermodelUpTo(bound)``, the verdict the scan would give, when
+    ``phi`` is such an instance (``_axiom_instance``, a syntactic match) or
+    has a closed S4 tableau; the verdict still claims only the bounded
+    search.  A frame formula is an axiom exactly when its frame is F1, F2
+    or F3, so its frame is compared and neither the match nor the tableau
+    is tried on it.  Neither is tried either when some scan up to the bound
+    would exceed the scan's budget, so such a query raises as the scan
+    would.
 
     The frame formula of a rooted frame F (recognized by
     ``formulas.jankov_frame``) is valid on G exactly when F is not an onto
@@ -75,8 +125,10 @@ def decide_lr2(phi: fm.Formula, bound: int) -> Verdict:
         raise CeilingExceededError(f"bound must lie in 1..{DECISION_CEILING}")
     config = fm.jankov_frame(phi)
     for size in range(1, bound + 1):
-        if (size == 2 and config is None and 1 << len(fm.variables(phi)) * bound <= DEFAULT_BUDGET
-                and _tableau.s4_valid(phi)):
+        if size == 2 and (
+                any(config.up == f.up for f in _forbidden_frames()) if config is not None
+                else 1 << len(fm.variables(phi)) * bound <= DEFAULT_BUDGET
+                and (_axiom_instance(phi) or _tableau.s4_valid(phi))):
             return NoCountermodelUpTo(bound)
         frames = iter(enumerate_frames(size, "2-roach", ceiling=DECISION_CEILING))
         if config is not None:

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from conftest import random_formula, reference_decide_lr2, reference_scan_decide_lr2
+from conftest import (perfbench_decide_queries, random_formula, reference_decide_lr2,
+                      reference_scan_decide_lr2)
+from roachkit import _tableau
 from roachkit import decision as D
 from roachkit import formulas as fm
 from roachkit import frames as F
@@ -36,19 +38,202 @@ def test_bd2_refuted_on_chain3():
     _assert_refutation_checks(verdict, fm.axiom("bd", 2))
 
 
+# decide_lr2 settles the axioms' instances without a search, so the axioms'
+# validity on 2-roaches is checked here by the scan without that shortcut,
+# or by the frame-formula contract: no 2-roach admits F1, F2 or F3
+
+
 def test_mckinsey_has_no_small_countermodel():
-    assert D.decide_lr2(fm.axiom("ma"), 4) == D.NoCountermodelUpTo(4)
+    assert reference_scan_decide_lr2(fm.axiom("ma"), 4) == D.NoCountermodelUpTo(4)
 
 
 def test_own_axioms_have_no_small_countermodels():
     for chi in D.lr2_axioms()[1:]:
-        assert D.decide_lr2(chi, 4) == D.NoCountermodelUpTo(4)
+        assert reference_scan_decide_lr2(chi, 4) == D.NoCountermodelUpTo(4)
 
 
 @pytest.mark.parametrize("index", [0, 1, 2, 3], ids=["ma", "chi_F1", "chi_F2", "chi_F3"])
 def test_own_axioms_have_no_countermodel_up_to_the_ceiling(index):
     assert D.DECISION_CEILING == 8
+    if index == 0:
+        assert reference_scan_decide_lr2(fm.axiom("ma"), 8) == D.NoCountermodelUpTo(8)
+    else:
+        config = R.builtin(R.FORBIDDEN_NAMES[index - 1])
+        roaches = [g for n in range(1, 9) for g in F.enumerate_frames(n, "2-roach", ceiling=8)]
+        assert len(roaches) == 1596
+        assert all(M.is_permissible(config, g) is None for g in roaches)
     assert D.decide_lr2(D.lr2_axioms()[index], 8) == D.NoCountermodelUpTo(8)
+
+
+def _substitute(phi, sub):
+    """``phi`` with each variable ``name`` replaced by ``sub[name]``, one
+    object at all of its occurrences."""
+    done = {}
+    for f in fm.postorder(phi):
+        kind = type(f)
+        done[id(f)] = sub[f.name] if kind is fm.Var else kind(
+            *(done[id(getattr(f, name))] for name in kind.__match_args__))
+    return done[id(phi)]
+
+
+def _is_settled_as_an_axiom(phi):
+    config = fm.jankov_frame(phi)
+    if config is not None:
+        return any(config.up == f.up for f in D._forbidden_frames())
+    return D._axiom_instance(phi)
+
+
+def _axiom_instances(rng):
+    """``(phi, bound)``: seeded substitution instances of each axiom.  Per
+    axiom, random formulas over p and q substituted once each (so every
+    occurrence shares one object) and once reparsed (so no two occurrences
+    are one object), a random formula substituted for every variable at
+    once, and the variables renamed: reversed, and onto fresh names."""
+    out = []
+    for schema in D.lr2_axioms():
+        names = fm.variables(schema)
+        bound = 4 if len(names) == 1 else 3
+        subs = [{v: random_formula(rng, rng.randint(1, 3), ["p", "q"]) for v in names}
+                for _ in range(3)]
+        one = random_formula(rng, 2, ["p", "q"])
+        subs += [{v: one for v in names},
+                 dict(zip(names, map(fm.Var, reversed(names)))),
+                 {v: fm.Var(f"x{i}") for i, v in enumerate(names)}]
+        for sub in subs:
+            phi = _substitute(schema, sub)
+            out += [(phi, bound), (fm.parse(fm.render(phi)), bound)]
+    return out
+
+
+def test_seeded_axiom_instances_are_matched_and_agree_with_the_scan():
+    rng = random.Random(43)
+    instances = _axiom_instances(rng)
+    assert len(instances) == 48
+    shared = 0
+    for phi, bound in instances:
+        assert D._axiom_instance(phi), phi
+        verdict = D.decide_lr2(phi, bound)
+        assert verdict == D.NoCountermodelUpTo(bound)
+        assert repr(verdict) == repr(reference_scan_decide_lr2(phi, bound)), phi
+        shared += len(fm.postorder(phi)) < len(fm.postorder(fm.parse(fm.render(phi))))
+    assert shared > 0  # some instances share subtrees that their reparses do not
+
+
+def _changed_clauses(chi):
+    """Copies of the frame formula ``chi`` = (p_r & [](c_1 & ...)) -> ~p_r,
+    each with one clause changed: an exclusion p_u -> ~p_w made p_u -> ~p_u,
+    a reachability p_u -> <>p_w made p_u -> ~<>p_w, and a diamond made a
+    box."""
+    clauses, stack = [], [chi.left.right.operand]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, fm.And):
+            stack += (node.right, node.left)
+        else:
+            clauses.append(node)
+
+    def rebuilt(i, clause):
+        parts = clauses[:i] + [clause] + clauses[i + 1:]
+        return fm.Implies(fm.And(chi.left.left, fm.Box(fm.conj(parts))), chi.right)
+
+    assert rebuilt(0, clauses[0]) == chi
+    exclusion = 1
+    reach = next(i for i, c in enumerate(clauses) if isinstance(c.right, fm.Diamond)
+                 and c.right.operand != c.left)
+    return [rebuilt(exclusion, fm.Implies(clauses[exclusion].left, fm.Not(clauses[exclusion].left))),
+            rebuilt(reach, fm.Implies(clauses[reach].left, fm.Not(clauses[reach].right))),
+            rebuilt(reach, fm.Implies(clauses[reach].left, fm.Box(clauses[reach].right.operand)))]
+
+
+def test_non_instances_are_not_matched():
+    rng = random.Random(47)
+    a, b = (random_formula(rng, 3, ["p", "q"]) for _ in range(2))
+    s4_instances = [fm.Implies(fm.Box(a), a), fm.Implies(fm.Box(a), fm.Box(fm.Box(a))),
+                    fm.Implies(fm.Box(fm.Implies(a, b)), fm.Implies(fm.Box(a), fm.Box(b))),
+                    fm.Implies(a, fm.Diamond(a)), fm.Implies(a, fm.Implies(b, a))]
+    for phi in [fm.axiom("ga"), fm.parse("[]<>p -> <>[]q"), *s4_instances]:
+        assert not D._axiom_instance(phi), phi
+        assert not _is_settled_as_an_axiom(phi), phi
+    changed = [phi for chi in D.lr2_axioms()[1:] for phi in _changed_clauses(chi)]
+    assert len(changed) == 9
+    for phi in changed:
+        assert not D._axiom_instance(phi), phi
+        assert not _is_settled_as_an_axiom(phi), phi
+        assert repr(D.decide_lr2(phi, 4)) == repr(reference_scan_decide_lr2(phi, 4)), phi
+
+
+def test_a_matched_query_scans_only_the_one_world_frame(monkeypatch):
+    sizes, scanned = [], []
+    enumerate_frames, find_refutation = D.enumerate_frames, D.find_refutation
+
+    def unreached(*_):
+        raise AssertionError("searched past the one-world frame")
+
+    monkeypatch.setattr(D, "enumerate_frames",
+                        lambda size, *a, **k: sizes.append(size) or enumerate_frames(size, *a, **k))
+    monkeypatch.setattr(D, "find_refutation",
+                        lambda frame, phi: scanned.append(frame.size) or find_refutation(frame, phi))
+    monkeypatch.setattr(D, "find_batch_refutation", unreached)
+    monkeypatch.setattr(D._tableau, "s4_valid", unreached)
+    renamed = _substitute(D.lr2_axioms()[1], {f"p{i}": fm.Var(f"x{i}") for i in range(4)})
+    cases = [(fm.parse("[]<>(p & <>q) -> <>[](p & <>q)"), [1]), (D.lr2_axioms()[0], [1]),
+             (renamed, [1]), *((chi, []) for chi in D.lr2_axioms()[1:])]
+    for phi, scans in cases:
+        sizes.clear()
+        scanned.clear()
+        # (four variables on eight worlds would exceed the scan's budget)
+        assert D.decide_lr2(phi, 6) == D.NoCountermodelUpTo(6)
+        # frame formulas skip the one-world frame by permissibility
+        assert (sizes, scanned) == ([1], scans), phi
+
+
+def test_a_deep_mckinsey_instance_is_matched_without_recursion():
+    # p := []^5000 q, built twice so that the two occurrences share no node
+    deep = []
+    for _ in range(2):
+        phi = fm.Var("q")
+        for _ in range(5000):
+            phi = fm.Box(phi)
+        deep.append(phi)
+    phi = fm.Implies(fm.Box(fm.Diamond(deep[0])), fm.Diamond(fm.Box(deep[1])))
+    assert D._axiom_instance(phi)
+    assert D.decide_lr2(phi, 8) == D.NoCountermodelUpTo(8)
+
+
+def test_an_over_budget_mckinsey_instance_still_raises():
+    # fourteen variables fit the scan's budget on one world, not on two
+    a = fm.conj([fm.Var(f"p{i}") for i in range(14)])
+    phi = fm.Implies(fm.Box(fm.Diamond(a)), fm.Diamond(fm.Box(a)))
+    assert D._axiom_instance(phi)
+    with pytest.raises(BudgetExceededError):
+        D.decide_lr2(phi, 2)
+
+
+def test_clean_perfbench_queries_are_settled_after_the_one_world_scan(monkeypatch):
+    # each of the 40 clean decide queries per seed is an axiom instance or
+    # an S4 theorem; 6 and 7 of the 10 instances have no closed tableau
+    queries = perfbench_decide_queries(monkeypatch)
+    sizes, enumerate_frames = [], D.enumerate_frames
+    monkeypatch.setattr(D, "enumerate_frames",
+                        lambda size, *a, **k: sizes.append(size) or enumerate_frames(size, *a, **k))
+    tallies = []
+    for part in (queries[:164], queries[164:]):
+        tally = {"matched": 0, "matched, no tableau": 0, "tableau": 0}
+        for phi, bound in part:
+            sizes.clear()
+            verdict = D.decide_lr2(phi, bound)
+            if not isinstance(verdict, D.NoCountermodelUpTo):
+                continue
+            assert sizes == [1], phi
+            if _is_settled_as_an_axiom(phi):
+                tally["matched"] += 1
+                tally["matched, no tableau"] += not _tableau.s4_valid(phi)
+            else:
+                assert _tableau.s4_valid(phi), phi
+                tally["tableau"] += 1
+        tallies.append(tally)
+    assert tallies == [{"matched": 10, "matched, no tableau": 6, "tableau": 30},
+                       {"matched": 10, "matched, no tableau": 7, "tableau": 30}]
 
 
 def test_chi_g_separates_from_s41():
@@ -161,8 +346,11 @@ def _single_host_verdicts(monkeypatch, small_frames, limit):
     formula's contract holds on every finite frame.  Searches over all the
     2-roaches cannot tell a route that tries only G's root from the real
     one: 2-roaches are closed under generated subframes and are searched by
-    size, so F is an image of the first refuting 2-roach itself."""
+    size, so F is an image of the first refuting 2-roach itself.  A host
+    that is not a 2-roach may refute chi_F1, chi_F2 or chi_F3, so the
+    check that settles those axioms on 2-roaches is switched off."""
     hosts = [g for n in range(1, 6) for g in F.enumerate_frames(n, "rooted")]
+    monkeypatch.setattr(D, "_forbidden_frames", lambda: ())
     for f in small_frames:
         chi = fm.fine_jankov(f)
         for g in hosts:
