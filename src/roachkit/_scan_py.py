@@ -36,33 +36,9 @@ query that scans one formula on many frames plans it once per world count.
 The slots each instruction reads last depend on the program alone; both
 kinds of plan take them from one backward pass, also kept on the program.
 Both kinds of plan run through the same loop.
-
-Since that plan depends on the world count alone, frames of one size can
-share a pass.  A *batch* of m >= 2 frames lays them side by side along the
-index: frame p owns the block of bits p*B .. p*B+B-1, B = 2^b with b the
-largest of k*n, 3 and the bits of n-1, so a block holds the frame's 2^(k*n)
-valuations, a whole byte and a row of its up masks.  Bit t < k*n of an index
-is bit t of its offset in the block, so the pattern table needs no change;
-when B > 2^(k*n) the rest of a block repeats its first 2^(k*n) bits.  The
-chunk is the 2^(b + bits of m-1) bits that hold the m blocks, one chunk per
-batch, and ``batch_size`` keeps it at 2^16 bits, batching only frames of at
-most 2^12 valuations (a larger frame's scan pays per valuation, not per
-call).  A box at world i ANDs x[u] for each u in up(i) in every frame of the
-batch, and ``x[u] | out[i][u]`` for each u in up(i) in only some of them,
-``out[i][u]`` masking the blocks of the frames where u is not in up(i); the
-diamond ORs ``x[u] & ~out[i][u]``.  A single frame is a batch whose every
-member lies in every frame.  The least set bit of ``live & ~acc`` (``live``
-masking the m blocks) is p*B + j: the least refuting frame p and its least
-index j, the pair a frame-by-frame scan finds first, returned as
-p * 2^(k*n) + j.  The out masks come from each world's rows packed one per
-block, a shift and a mask per (i, u), and the tables of the latest batches
-are kept while they hold at most 2^22 bits: a query scans each size in the
-same batches as the one before it.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 from ._program import OP_AND, OP_BOT, OP_BOX, OP_DIA, OP_IMP, OP_NOT, OP_OR, OP_TOP, OP_VAR
 from .frames import worlds_of
@@ -188,72 +164,17 @@ def _chunk_plans(program, members, n_worlds, chunk_log2, high):
     return [plan(t) for t in range(high + 1)]
 
 
-def batch_size(kn, n_worlds, chunk_log2=16):
-    """How many frames of ``n_worlds`` worlds and ``kn`` index bits one
-    chunk holds side by side.  A frame of more than 2^12 valuations is
-    scanned alone: its scan pays mostly per valuation, not per call."""
-    return 1 if kn > 12 else 1 << max(chunk_log2 - max(kn, 3, (n_worlds - 1).bit_length()), 0)
-
-
-# The member tables of the latest batches, keyed by their frames' up masks
-# and block size, the oldest evicted first while they hold more than 2^22
-# mask bits (512 KB): a query scans the frames of each size in the same
-# batches as the one before it, and a long run keeps only the latest few.
-# As in ``semantics._programs``, an entry is one tuple and eviction one
-# ``popitem`` call, and the sizes are summed over a copy of the values, so
-# threads that share the tables never see them change mid-step.
-_tables: OrderedDict = OrderedDict()
-
-
-def _batch_members(ups, n_worlds, block_log2):
-    """Per world i: the worlds in up(i) in every frame, and (u, out) for each
-    u in up(i) in some frames only, where ``out`` masks the blocks of the
-    frames where u is not in up(i); and the bits those masks hold."""
-    entry = _tables.get((ups, block_log2))
-    if entry is None:
-        width = 1 << (block_log2 - 3)  # bytes per block
-        comb = int.from_bytes((b"\x01" + bytes(width - 1)) * len(ups), "little")
-        members, partial = [], []
-        for i in range(n_worlds):
-            # row i of frame p at bit p * 2^block_log2, and for each u a bit
-            # there when up(i) of frame p lacks u
-            rows = b"".join(up[i].to_bytes(width, "little") for up in ups)
-            packed = int.from_bytes(rows, "little")
-            outs = [comb ^ ((packed >> u) & comb) for u in range(n_worlds)]
-            members.append([u for u, out in enumerate(outs) if not out])
-            partial.append([(u, (out << (width << 3)) - out)
-                            for u, out in enumerate(outs) if out and out != comb])
-        held = sum(map(len, partial)) * len(ups) << block_log2
-        entry = _tables[ups, block_log2] = (members, partial, held)
-        while sum(held for _, _, held in list(_tables.values())) > 1 << 22:
-            _tables.popitem(last=False)
-    return entry
-
-
 def find_refuting_index(up, n_worlds, program, chunk_log2=16):
     """Index of the least valuation refuting the program's formula on the
     frame, or -1 when the formula is valid."""
-    return find_batch_refuting_index((up,), n_worlds, program, chunk_log2)
-
-
-def find_batch_refuting_index(ups, n_worlds, program, chunk_log2=16):
-    """Least ``p * 2^(k*n) + j`` such that valuation j refutes the program's
-    formula on frame p of the batch, or -1 when it is valid on every frame.
-    A single frame may span several chunks; a batch of more takes one chunk,
-    larger than 2^chunk_log2 bits when it holds more than ``batch_size``."""
     kn = program.n_vars * n_worlds
-    if len(ups) == 1:
-        block_log2, chunk_log2, live = kn, min(chunk_log2, kn), -1
-        members, partial = list(map(worlds_of, ups[0])), [()] * n_worlds
-    else:
-        block_log2 = max(kn, 3, (n_worlds - 1).bit_length())
-        chunk_log2, live = block_log2 + (len(ups) - 1).bit_length(), (1 << (len(ups) << block_log2)) - 1
-        members, partial, _ = _batch_members(tuple(ups), n_worlds, block_log2)
+    chunk_log2 = min(chunk_log2, kn)
     chunk_bits = 1 << chunk_log2
     full = (1 << chunk_bits) - 1
     pats = _patterns(chunk_bits)
     ops = program.ops
-    high = max(kn - chunk_log2, 0)  # index bits above the chunk
+    members = list(map(worlds_of, up))
+    high = kn - chunk_log2  # index bits above the chunk
     if high:
         plans = _chunk_plans(program, members, n_worlds, chunk_log2, high)
     else:
@@ -279,8 +200,6 @@ def find_batch_refuting_index(ups, n_worlds, program, chunk_log2=16):
                     acc = full
                     for u in members[i]:
                         acc &= x[u]
-                    for u, out in partial[i]:
-                        acc &= x[u] | out
                     vec[i] = acc
             elif op == OP_DIA:
                 x = vals[a]
@@ -288,8 +207,6 @@ def find_batch_refuting_index(ups, n_worlds, program, chunk_log2=16):
                     acc = 0
                     for u in members[i]:
                         acc |= x[u]
-                    for u, out in partial[i]:
-                        acc |= x[u] & ~out
                     vec[i] = acc
             elif op == OP_VAR:
                 for i in todo:
@@ -321,8 +238,7 @@ def find_batch_refuting_index(ups, n_worlds, program, chunk_log2=16):
         acc = full
         for x in vals[-1]:
             acc &= x
-        missing = (full ^ acc) & live
+        missing = full ^ acc
         if missing:
-            bit = base + ((missing & -missing).bit_length() - 1)
-            return (bit >> block_log2 << kn) | (bit & ((1 << kn) - 1))
+            return base + ((missing & -missing).bit_length() - 1)
     return -1

@@ -10,15 +10,13 @@ size bound is known, so a clean search up to the bound is reported as
 from __future__ import annotations
 
 from functools import cache
-from itertools import islice
 
 from ._record import record
 from . import formulas as fm
 from . import _tableau, morphisms, roach
 from .errors import BudgetExceededError, CeilingExceededError
 from .frames import enumerate_frames
-from .semantics import (DEFAULT_BUDGET, Model, _least_refuted_world, batch_size,
-                        find_batch_refutation, find_refutation)
+from .semantics import DEFAULT_BUDGET, Model, _least_refuted_world, find_refutation
 
 DECISION_CEILING = 8
 
@@ -116,10 +114,9 @@ def decide_lr2(phi: fm.Formula, bound: int) -> Verdict:
     instead (see ``_refutation_by_map``); any other formula too big to scan
     raises ``BudgetExceededError``.
 
-    The first frame of a size is scanned alone, so a query refuted there
-    pays for no batch; the rest go in batches of ``batch_size``, each in one
-    pass of the scanner, and a batch of one goes through ``find_refutation``.
-    The verdict is the one of scanning frame by frame in enumeration order.
+    Each 2-roach is scanned on its own through ``find_refutation``, in
+    enumeration order, so the verdict is the first refuted frame's least
+    refutation.
     """
     if bound < 1 or bound > DECISION_CEILING:
         raise CeilingExceededError(f"bound must lie in 1..{DECISION_CEILING}")
@@ -130,28 +127,21 @@ def decide_lr2(phi: fm.Formula, bound: int) -> Verdict:
                 else 1 << len(fm.variables(phi)) * bound <= DEFAULT_BUDGET
                 and (_axiom_instance(phi) or _tableau.s4_valid(phi))):
             return NoCountermodelUpTo(bound)
-        frames = iter(enumerate_frames(size, "2-roach", ceiling=DECISION_CEILING))
+        frames = enumerate_frames(size, "2-roach", ceiling=DECISION_CEILING)
         if config is not None:
             frames = (frame for frame in frames if morphisms.is_permissible(config, frame))
-        per_pass = 1
         for frame in frames:
-            batch = [frame, *islice(frames, per_pass - 1)]
-            if len(batch) > 1:
-                found = find_batch_refutation(batch, phi)
-            else:
-                try:
-                    found = find_refutation(frame, phi)
-                except BudgetExceededError:
-                    # the map of the permissibility check gives the countermodel
-                    witness = None if config is None else morphisms.is_permissible(config, frame)
-                    found = None if witness is None else _refutation_by_map(frame, phi, witness)
-                    if found is None:
-                        raise
-                found = found and (frame, *found)
+            try:
+                found = find_refutation(frame, phi)
+            except BudgetExceededError:
+                # the map of the permissibility check gives the countermodel
+                witness = None if config is None else morphisms.is_permissible(config, frame)
+                found = None if witness is None else _refutation_by_map(frame, phi, witness)
+                if found is None:
+                    raise
             if found is not None:
-                frame, valuation, world = found
+                valuation, world = found
                 return Refuted(Model(frame, valuation), world)
-            per_pass = batch_size(phi, size)
     return NoCountermodelUpTo(bound)
 
 

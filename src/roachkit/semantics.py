@@ -5,10 +5,9 @@ Boxes read as Alexandroff interior, diamonds as closure: the extension of
 ``<>phi`` holds wherever some successor satisfies ``phi``.
 
 Frame validity enumerates every valuation.  One kernel does it:
-``_scan_py.find_batch_refuting_index``, a chunked bit-parallel scan on
-Python big integers that returns the least refuting valuation index, on one
-frame or on a batch of frames of one size side by side.  It needs no build
-step and no compiler.
+``_scan_py.find_refuting_index``, a chunked bit-parallel scan on Python big
+integers that returns the least refuting valuation index of one frame.  It
+needs no build step and no compiler.
 """
 
 from __future__ import annotations
@@ -111,7 +110,7 @@ def _decode_valuation(index: int, variables, n_worlds: int) -> dict:
 # The programs of the latest few formulas that find_refutation compiled,
 # keyed by formula identity and compiler, the oldest evicted first.  A query
 # such as decide_lr2 scans one formula on many frames, and a census cycles
-# through a handful, so a few entries save recompiling per frame or batch.  Formulas
+# through a handful, so a few entries save recompiling per frame.  Formulas
 # are frozen, and each entry keeps a strong reference to its formula, so its
 # id is not reused while the entry lives; keying on the compiler as well
 # picks up a replaced ``compile_formula``.  The bound keeps a long run from
@@ -141,15 +140,6 @@ def _least_refuted_world(frame, phi, valuation):
     return (missing & -missing).bit_length() - 1 if missing else None
 
 
-def _refutation_at(frame, phi, program, index):
-    """The valuation of a scan index and the least world it refutes."""
-    valuation = _decode_valuation(index, program.variables, frame.size)
-    world = _least_refuted_world(frame, phi, valuation)
-    if world is None:
-        raise AssertionError(f"valuation {index} of the scan refutes the formula at no world")
-    return valuation, world
-
-
 def find_refutation(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET):
     """Least refuting (valuation, world) pair, or None when valid.
 
@@ -164,24 +154,13 @@ def find_refutation(frame: Frame, phi: fm.Formula, budget: int = DEFAULT_BUDGET)
         raise BudgetExceededError(f"{program.n_vars} variables on {frame.size} worlds needs"
                                   f" {total} valuations (budget {budget})")
     index = _scan(frame.up, frame.size, program)
-    return None if index < 0 else _refutation_at(frame, phi, program, index)
-
-
-def batch_size(phi: fm.Formula, n_worlds: int) -> int:
-    """How many frames of ``n_worlds`` worlds one pass of the scanner holds."""
-    return _scan_py.batch_size(_program(phi).n_vars * n_worlds, n_worlds)
-
-
-def find_batch_refutation(frames, phi: fm.Formula):
-    """Least refuting (frame, valuation, world) over frames of one size, the
-    first refuted frame first, or None when the formula is valid on each.
-    All of them are scanned in one pass: ``batch_size`` of them fit it."""
-    program, size = _program(phi), frames[0].size
-    index = _scan_py.find_batch_refuting_index([f.up for f in frames], size, program)
     if index < 0:
         return None
-    frame = frames[index >> (program.n_vars * size)]
-    return (frame, *_refutation_at(frame, phi, program, index & ((1 << program.n_vars * size) - 1)))
+    valuation = _decode_valuation(index, program.variables, frame.size)
+    world = _least_refuted_world(frame, phi, valuation)
+    if world is None:
+        raise AssertionError(f"valuation {index} of the scan refutes the formula at no world")
+    return valuation, world
 
 
 def frame_validates(frame: Frame, phi: fm.Formula) -> bool:

@@ -648,6 +648,25 @@ def naive_frame_validates(frame, phi):
     return True
 
 
+def naive_frames_validate(frames, phi):
+    """``naive_frame_validates(frame, phi)`` for each of ``frames``, all of
+    one size n, with one ``naive_extension`` per valuation: the valuation is
+    copied onto every frame, and the extension is taken on the disjoint
+    union of the frames, where world i of frame p is world p*n + i."""
+    n = frames[0].size
+    union = Frame(n * len(frames), tuple(up << (p * n) for p, frame in enumerate(frames)
+                                         for up in frame.up))
+    names = fm.variables(phi)
+    worlds = set(union.worlds())
+    valid = [True] * len(frames)
+    for assignment in itertools.product(range(1 << n), repeat=len(names)):
+        valuation = {name: {p * n + i for p in range(len(frames)) for i in worlds_of(mask)}
+                     for name, mask in zip(names, assignment)}
+        for w in worlds - naive_extension(union, valuation, phi):
+            valid[w // n] = False
+    return valid
+
+
 def naive_least_refuting_index(frame, phi):
     """Least valuation index refuting the formula on the frame, trying the
     valuations one at a time in index order (variable v of the sorted names

@@ -173,7 +173,6 @@ def test_a_matched_query_scans_only_the_one_world_frame(monkeypatch):
                         lambda size, *a, **k: sizes.append(size) or enumerate_frames(size, *a, **k))
     monkeypatch.setattr(D, "find_refutation",
                         lambda frame, phi: scanned.append(frame.size) or find_refutation(frame, phi))
-    monkeypatch.setattr(D, "find_batch_refutation", unreached)
     monkeypatch.setattr(D._tableau, "s4_valid", unreached)
     renamed = _substitute(D.lr2_axioms()[1], {f"p{i}": fm.Var(f"x{i}") for i in range(4)})
     cases = [(fm.parse("[]<>(p & <>q) -> <>[](p & <>q)"), [1]), (D.lr2_axioms()[0], [1]),
@@ -297,11 +296,11 @@ def test_verdicts_match_the_search_over_filtered_classes():
     assert refuted_sizes == {1, 2, 3, 4, 5}
 
 
-def test_batched_search_matches_the_per_frame_scan():
-    # decide_lr2 scans the frames of a size in batches; the reference scans
-    # them one by one.  Seeded formulas of 0-4 variables, and the negated
-    # type of the root of a random model on a 2-roach, which is refuted on
-    # the frames with a world like it: often not the first of their size.
+def test_search_past_the_first_frame_of_a_size_matches_the_scan():
+    # decide_lr2 against the plain scan of every 2-roach in enumeration
+    # order.  Seeded formulas of 0-4 variables, and the negated type of the
+    # root of a random model on a 2-roach, which is refuted on the frames
+    # with a world like it: often not the first of their size.
     rng = random.Random(29)
     bounds = {0: 6, 1: 6, 2: 6, 3: 5, 4: 4}
     cases = []
