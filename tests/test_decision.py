@@ -326,6 +326,33 @@ def test_search_past_the_first_frame_of_a_size_matches_the_scan():
     assert past_first == {3, 4, 5, 6}, past_first
 
 
+def test_decide_scans_each_two_roach_once_in_enumeration_order(monkeypatch):
+    # every frame decide_lr2 scans goes through find_refutation, one call
+    # per frame: a clean search scans each 2-roach up to the bound, and a
+    # refuted one the 2-roaches before the verdict's frame and that frame
+    scanned = []
+    one = D.find_refutation
+    monkeypatch.setattr(D, "find_refutation",
+                        lambda frame, phi: scanned.append(frame) or one(frame, phi))
+    roaches = [f for n in range(1, 6) for f in F.enumerate_frames(n, "2-roach")]
+    # McKinsey as a disjunction: valid on 2-roaches, but neither an S4
+    # theorem nor an instance of an axiom, so nothing settles it early
+    clean = fm.parse("<>[]p | ~[]<>p")
+    assert not D._axiom_instance(clean) and not _tableau.s4_valid(clean)
+    assert D.decide_lr2(clean, 5) == D.NoCountermodelUpTo(5)
+    assert scanned == roaches
+    past_first = 0
+    for phi, bound in ((fm.axiom("ga"), 3), (fm.axiom("bd", 2), 4), (fm.axiom("bd", 3), 5),
+                       (fm.parse("<>p & <>~p -> [](p | q)"), 5)):
+        scanned.clear()
+        verdict = D.decide_lr2(phi, bound)
+        assert isinstance(verdict, D.Refuted), phi
+        assert scanned == roaches[:roaches.index(verdict.model.frame) + 1], phi
+        past_first += verdict.model.frame != next(F.enumerate_frames(verdict.model.frame.size,
+                                                                      "2-roach"))
+    assert past_first >= 1
+
+
 def test_route_matches_the_scan_over_two_roaches(small_frames):
     # the bound per world count of F keeps each scan of chi_F small
     bounds = {1: 8, 2: 7, 3: 6, 4: 5}

@@ -228,6 +228,36 @@ def test_refutation_is_least_index():
     assert S.extension_mask(S.Model(fork, valuation), phi) != (1 << fork.size) - 1
 
 
+def test_find_refutation_rechecks_every_scan_index(monkeypatch):
+    # find_refutation decodes whatever index the scan reports and re-checks
+    # it on the frame: fed each index of every small valuation space, it
+    # returns the decoded valuation with the least world the naive oracle
+    # refutes, and raises where that valuation refutes no world
+    rng = random.Random(32)
+    frames = [f for n in range(1, 4) for f in F.enumerate_frames(n, "rooted")]
+    formulas = [fm.axiom("ga"), fm.axiom("grz"), fm.parse("[]p -> p"), fm.parse("<>[]p -> []<>q")]
+    formulas += [random_formula(rng, 3, ["p", "q"]) for _ in range(6)]
+    seen = {"refuted": 0, "raised": 0}
+    for phi in formulas:
+        names = sorted(fm.variables(phi))
+        for frame in frames:
+            for index in range(1 << len(names) * frame.size):
+                monkeypatch.setattr(S, "_scan", lambda up, n, program: index)
+                valuation = {name: set(F.worlds_of(index >> v * frame.size & (1 << frame.size) - 1))
+                             for v, name in enumerate(names)}
+                refuted = set(frame.worlds()) - naive_extension(frame, valuation, phi)
+                if refuted:
+                    got_valuation, world = S.find_refutation(frame, phi)
+                    assert {name: got_valuation.get(name, set()) for name in names} == valuation
+                    assert world == min(refuted), (phi, frame, index)
+                    seen["refuted"] += 1
+                else:
+                    with pytest.raises(AssertionError, match="refutes the formula at no world"):
+                        S.find_refutation(frame, phi)
+                    seen["raised"] += 1
+    assert seen["refuted"] >= 500 and seen["raised"] >= 500, seen
+
+
 def test_pattern_table_bits_are_index_bits():
     # bit j of pattern t is bit t of j, for every chunk size the scanner uses
     for log2 in range(17):
