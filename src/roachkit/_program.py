@@ -1,9 +1,12 @@
 """Compilation of formula ASTs into flat programs for the validity scanner.
 
-A program is a postorder instruction list over slots.  Equal subformulas
-share one slot: a node's instruction names its operands' slots, so two
-nodes are equal exactly when their instructions are, and the compiler looks
-instructions up instead of hashing formula subtrees.
+A program is a postorder instruction list over slots, the root's last.
+Equal subformulas share one slot: a node's instruction names its operands'
+slots, so two nodes are equal exactly when their instructions are, and the
+compiler looks instructions up instead of hashing formula subtrees.  The
+program is the one interned form of a formula: the scanner evaluates it,
+``decision._axiom_instance`` matches the axioms' programs against it and
+``_tableau.s4_valid`` builds its negation normal form from it.
 """
 
 from __future__ import annotations
@@ -26,6 +29,13 @@ class Program:
     @property
     def n_vars(self) -> int:
         return len(self.variables)
+
+
+def reads(op: int, a: int, b: int) -> tuple[int, ...]:
+    """The slots an instruction reads, operand by operand: ``a`` of a
+    negation, box or diamond, ``a`` and ``b`` of a binary connective, none
+    of a variable (whose ``a`` is its index) or a constant."""
+    return (a, b) if OP_AND <= op <= OP_IMP else (a,) if op > OP_VAR else ()
 
 
 def compile_formula(phi: fm.Formula) -> Program:

@@ -40,7 +40,7 @@ Both kinds of plan run through the same loop.
 
 from __future__ import annotations
 
-from ._program import OP_AND, OP_BOT, OP_BOX, OP_DIA, OP_IMP, OP_NOT, OP_OR, OP_TOP, OP_VAR
+from ._program import OP_AND, OP_BOT, OP_BOX, OP_DIA, OP_IMP, OP_NOT, OP_OR, OP_TOP, OP_VAR, reads
 from .frames import worlds_of
 
 _pattern_cache: dict[int, list[int]] = {}
@@ -67,15 +67,6 @@ def _patterns(chunk_bits: int) -> list[int]:
     return pats
 
 
-def _operands(op, a, b):
-    """The distinct slots an instruction reads."""
-    if op in (OP_NOT, OP_BOX, OP_DIA):
-        return (a,)
-    if op in (OP_AND, OP_OR, OP_IMP):
-        return (a,) if a == b else (a, b)
-    return ()
-
-
 def _dying(program):
     """The slots each instruction reads last, found in one backward pass and
     kept on the program.  The result slot is read after the program, so it
@@ -83,6 +74,9 @@ def _dying(program):
     dying = program.__dict__.get("_dying")
     if dying is None:
         read, dying = [False] * len(program.ops), []
+        # the reads are tested inline rather than through ``reads``: every
+        # decide query compiles a new program, so this pass runs once per
+        # query, and a call per instruction makes it about 1.5 times as slow
         for op, a, b in reversed(program.ops):
             dead = ()
             if op > OP_VAR:  # every other instruction reads slot a
@@ -122,7 +116,7 @@ def _levels(ops, members, n_worlds, chunk_log2, high):
     for pc, (op, a, b) in enumerate(ops):
         mine = levels[pc]
         read = members if op in (OP_BOX, OP_DIA) else at_own_world
-        for s in _operands(op, a, b):
+        for s in reads(op, a, b):
             if not kept[s]:
                 own = levels[s]
                 kept[s] = any(mine[i] < own[u] for i in range(n_worlds) for u in read[i])

@@ -17,11 +17,14 @@ exactly when that one holds its ``A``.  Closed sets are cached for the one
 call.  A set closed under one history is closed under any, so a block or a
 cache hit can cost completeness, never soundness.
 
-Formulas are interned as ``(kind, operand, ...)`` tuples over the ids of
-their operands, so no formula tree is hashed or walked by recursion, and
-the search runs on an explicit stack of generators.  Once the sets it has
-saturated hold ``_STEP_BUDGET`` formulas in all, it gives up, and
-``s4_valid`` answers False.
+NNF(~phi) is built from ``phi``'s compiled program, the one the scanner
+runs, one pair of nodes (the slot's NNF and its negation's) per slot.  A
+node is an ``(op code, operand node, ...)`` tuple, a literal being
+``OP_VAR`` or ``OP_NOT`` over a variable index, and it is interned, so no
+formula tree is hashed or walked by recursion, and the search runs on an
+explicit stack of generators.  Once the sets it has saturated hold
+``_STEP_BUDGET`` formulas in all, it gives up, and ``s4_valid`` answers
+False.
 """
 
 from __future__ import annotations
@@ -29,21 +32,23 @@ from __future__ import annotations
 from collections import Counter
 
 from . import formulas as fm
+from ._program import OP_AND, OP_BOT, OP_BOX, OP_DIA, OP_IMP, OP_NOT, OP_OR, OP_TOP, OP_VAR, reads
 from .errors import BudgetExceededError
+from .semantics import _program
 
 # formulas held by the sets saturated so far, summed; a search that reaches
 # this gives up, within about 0.1 s on a 2-core host
 _STEP_BUDGET = 200_000
 
-_POS, _NEG, _AND, _OR, _BOX, _DIA, _TOP, _BOT = range(8)
-# each connective's node kind, and the kind of its negation's node
-_DUAL = {fm.And: (_AND, _OR), fm.Or: (_OR, _AND), fm.Box: (_BOX, _DIA), fm.Diamond: (_DIA, _BOX),
-         fm.Top: (_TOP, _BOT), fm.Bot: (_BOT, _TOP)}
+# the op code of the negation of each connective's NNF node
+_DUAL = {OP_AND: OP_OR, OP_OR: OP_AND, OP_BOX: OP_DIA, OP_DIA: OP_BOX,
+         OP_TOP: OP_BOT, OP_BOT: OP_TOP}
 
 
-def _negated_nnf(phi):
-    """The id of NNF(~phi), the interned nodes, and each node's negation."""
-    ids, nodes, negation, signed = {}, [], {}, {}
+def _negated_nnf(program):
+    """The id of NNF(~phi) for ``phi``'s program, the interned nodes, and
+    each node's negation."""
+    ids, nodes, negation, signed = {}, [], {}, []
 
     def node(*key):
         if key not in ids:
@@ -51,27 +56,25 @@ def _negated_nnf(phi):
             nodes.append(key)
         return ids[key]
 
-    for f in fm.postorder(phi):
-        kind = type(f)
-        if kind is fm.Var:
-            pair = node(_POS, f.name), node(_NEG, f.name)
-        elif kind is fm.Not:
-            pair = signed[id(f.operand)][::-1]
-        else:  # NNF(f) and NNF(~f) from the operands' pairs
-            args = [signed[id(getattr(f, name))] for name in kind.__match_args__]
-            if kind is fm.Implies:
-                kind, args[0] = fm.Or, args[0][::-1]
-            pos, neg = _DUAL[kind]
-            pair = node(pos, *(a for a, _ in args)), node(neg, *(na for _, na in args))
-        signed[id(f)] = pair
+    for op, a, b in program.ops:
+        if op == OP_VAR:
+            pair = node(OP_VAR, a), node(OP_NOT, a)
+        elif op == OP_NOT:
+            pair = signed[a][::-1]
+        else:  # NNF and its negation from the operands' pairs
+            args = [signed[s] for s in reads(op, a, b)]
+            if op == OP_IMP:
+                op, args[0] = OP_OR, args[0][::-1]
+            pair = node(op, *(x for x, _ in args)), node(_DUAL[op], *(nx for _, nx in args))
+        signed.append(pair)
         negation[pair[0]], negation[pair[1]] = pair[1], pair[0]
-    return signed[id(phi)][1], nodes, negation
+    return signed[-1][1], nodes, negation
 
 
 def s4_valid(phi: fm.Formula) -> bool:
     """True when a closed tableau shows ``phi`` valid on every S4 frame;
     False when it is not, or when the node budget runs out first."""
-    root, nodes, negation = _negated_nnf(phi)
+    root, nodes, negation = _negated_nnf(_program(phi))
     closed, levels, spent = set(), [], 0
 
     def saturations(start):
@@ -86,13 +89,13 @@ def s4_valid(phi: fm.Formula) -> bool:
                 if f in done:
                     continue
                 kind = nodes[f][0]
-                if kind == _BOT or negation[f] in done:
+                if kind == OP_BOT or negation[f] in done:
                     break
                 done.add(f)
-                if kind == _AND or kind == _BOX:
+                if kind == OP_AND or kind == OP_BOX:
                     todo += nodes[f][1:]
             else:
-                split = next((nodes[f] for f in done if nodes[f][0] == _OR
+                split = next((nodes[f] for f in done if nodes[f][0] == OP_OR
                               and nodes[f][1] not in done and nodes[f][2] not in done), None)
                 if split is None:
                     yield frozenset(done)
@@ -106,7 +109,7 @@ def s4_valid(phi: fm.Formula) -> bool:
         """Whether ``start`` closes; it yields each successor set to be
         searched and receives whether that closed."""
         for gamma in saturations(start):
-            boxes = frozenset(f for f in gamma if nodes[f][0] == _BOX)
+            boxes = frozenset(f for f in gamma if nodes[f][0] == OP_BOX)
             fresh = not levels or levels[-1][0] != boxes
             if fresh:
                 levels.append((boxes, Counter()))
@@ -114,7 +117,7 @@ def s4_valid(phi: fm.Formula) -> bool:
             seen.update(gamma)
             shut = False
             for f in gamma:
-                if nodes[f][0] == _DIA and not seen[nodes[f][1]]:
+                if nodes[f][0] == OP_DIA and not seen[nodes[f][1]]:
                     successor = boxes | {nodes[f][1]}
                     if successor in closed or (yield successor):
                         shut = True

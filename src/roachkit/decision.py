@@ -16,7 +16,8 @@ from . import formulas as fm
 from . import _tableau, morphisms, roach
 from .errors import BudgetExceededError, CeilingExceededError
 from .frames import enumerate_frames
-from .semantics import DEFAULT_BUDGET, Model, _least_refuted_world, find_refutation
+from ._program import OP_VAR, compile_formula, reads
+from .semantics import DEFAULT_BUDGET, Model, _least_refuted_world, _program, find_refutation
 
 DECISION_CEILING = 8
 
@@ -47,42 +48,36 @@ def _forbidden_frames() -> tuple:
 
 
 @cache
-def _schemata() -> tuple:
-    """The axioms of ``lr2_axioms``, built on first use."""
-    return tuple(lr2_axioms())
+def _schema_programs() -> tuple:
+    """The compiled axioms of ``lr2_axioms``, built on first use."""
+    return tuple(compile_formula(schema) for schema in lr2_axioms())
 
 
 def _axiom_instance(phi: fm.Formula) -> bool:
     """Whether ``phi`` is a substitution instance of ma or of some chi_F.
 
-    ``phi`` is matched against each schema on an explicit stack, node type
-    by node type, down to the schema's variables.  Only when the shape fits
-    are ``phi``'s nodes interned as ``(kind, operand ids)``, so that equal
-    subtrees get one id; the match holds when each schema variable is bound
-    to one id at all its occurrences.  No formula tree is compared with
-    ``==``, so nothing recurses on ``phi``'s depth."""
-    ids = None
-    for schema in _schemata():
-        binding, stack = {}, [(schema, phi)]
+    Each schema's program is matched against ``phi``'s, the one the scan
+    runs, slot by slot from the roots down, on an explicit stack, so
+    nothing recurses on ``phi``'s depth.  A slot of a schema variable is
+    bound to a slot of ``phi``, and since equal subformulas share a slot,
+    the binding is consistent exactly when each schema variable is bound to
+    one slot.  Any other schema slot needs the same op code in ``phi``, and
+    their operands are then paired."""
+    ops = _program(phi).ops
+    for schema in _schema_programs():
+        binding, stack = {}, [(len(schema.ops) - 1, len(ops) - 1)]
         while stack:
             s, f = stack.pop()
-            kind = type(s)
-            if kind is fm.Var:
-                binding.setdefault(s.name, []).append(f)
-            elif kind is type(f):
-                stack += ((getattr(s, name), getattr(f, name)) for name in kind.__match_args__)
+            op, a, b = schema.ops[s]
+            if op == OP_VAR:
+                if binding.setdefault(s, f) != f:
+                    break
+            elif op == ops[f][0]:
+                stack += zip(reads(op, a, b), reads(*ops[f]))
             else:
                 break
         else:
-            if ids is None:
-                ids, keys = {}, {}
-                for f in fm.postorder(phi):
-                    kind = type(f)
-                    key = (kind, f.name) if kind is fm.Var else (
-                        kind, *(ids[id(getattr(f, name))] for name in kind.__match_args__))
-                    ids[id(f)] = keys.setdefault(key, len(keys))
-            if all(len({ids[id(f)] for f in fs}) == 1 for fs in binding.values()):
-                return True
+            return True
     return False
 
 
@@ -96,13 +91,14 @@ def decide_lr2(phi: fm.Formula, bound: int) -> Verdict:
     ``lr2_axioms`` lies in the logic, so no 2-roach refutes it.  Once the
     one-world frame scans clean, the search ends with
     ``NoCountermodelUpTo(bound)``, the verdict the scan would give, when
-    ``phi`` is such an instance (``_axiom_instance``, a syntactic match) or
-    has a closed S4 tableau; the verdict still claims only the bounded
-    search.  A frame formula is an axiom exactly when its frame is F1, F2
-    or F3, so its frame is compared and neither the match nor the tableau
-    is tried on it.  Neither is tried either when some scan up to the bound
-    would exceed the scan's budget, so such a query raises as the scan
-    would.
+    ``phi`` is such an instance (``_axiom_instance``, a match of the
+    axioms' compiled programs against ``phi``'s) or has a closed S4 tableau
+    (``_tableau.s4_valid``, built from the same program as the scan); the
+    verdict still claims only the bounded search.  A frame formula is an
+    axiom exactly when its frame is F1, F2 or F3, so its frame is compared
+    and neither the match nor the tableau is tried on it.  Neither is tried
+    either when some scan up to the bound would exceed the scan's budget,
+    so such a query raises as the scan would.
 
     The frame formula of a rooted frame F (recognized by
     ``formulas.jankov_frame``) is valid on G exactly when F is not an onto
@@ -111,8 +107,9 @@ def decide_lr2(phi: fm.Formula, bound: int) -> Verdict:
     unscanned.  When it finds one, G is scanned as any other frame, so the
     verdict is the one the scan alone would give.  Only when G has more
     valuations than the scan's budget is the countermodel read off the map
-    instead (see ``_refutation_by_map``); any other formula too big to scan
-    raises ``BudgetExceededError``.
+    that check found (see ``_refutation_by_map``), so each 2-roach is
+    searched once; any other formula too big to scan raises
+    ``BudgetExceededError``.
 
     Each 2-roach is scanned on its own through ``find_refutation``, in
     enumeration order, so the verdict is the first refuted frame's least
@@ -124,18 +121,17 @@ def decide_lr2(phi: fm.Formula, bound: int) -> Verdict:
     for size in range(1, bound + 1):
         if size == 2 and (
                 any(config.up == f.up for f in _forbidden_frames()) if config is not None
-                else 1 << len(fm.variables(phi)) * bound <= DEFAULT_BUDGET
+                else 1 << _program(phi).n_vars * bound <= DEFAULT_BUDGET
                 and (_axiom_instance(phi) or _tableau.s4_valid(phi))):
             return NoCountermodelUpTo(bound)
-        frames = enumerate_frames(size, "2-roach", ceiling=DECISION_CEILING)
-        if config is not None:
-            frames = (frame for frame in frames if morphisms.is_permissible(config, frame))
-        for frame in frames:
+        for frame in enumerate_frames(size, "2-roach", ceiling=DECISION_CEILING):
+            witness = None if config is None else morphisms.is_permissible(config, frame)
+            if config is not None and witness is None:
+                continue  # chi_F is valid on the frame
             try:
                 found = find_refutation(frame, phi)
             except BudgetExceededError:
                 # the map of the permissibility check gives the countermodel
-                witness = None if config is None else morphisms.is_permissible(config, frame)
                 found = None if witness is None else _refutation_by_map(frame, phi, witness)
                 if found is None:
                     raise

@@ -151,7 +151,9 @@ def test_non_instances_are_not_matched():
     s4_instances = [fm.Implies(fm.Box(a), a), fm.Implies(fm.Box(a), fm.Box(fm.Box(a))),
                     fm.Implies(fm.Box(fm.Implies(a, b)), fm.Implies(fm.Box(a), fm.Box(b))),
                     fm.Implies(a, fm.Diamond(a)), fm.Implies(a, fm.Implies(b, a))]
-    for phi in [fm.axiom("ga"), fm.parse("[]<>p -> <>[]q"), *s4_instances]:
+    # T and F compile to different slots, and operands are paired in order
+    near = [fm.parse("[]<>T -> <>[]F"), fm.parse("[]<>(p & q) -> <>[](q & p)")]
+    for phi in [fm.axiom("ga"), fm.parse("[]<>p -> <>[]q"), *near, *s4_instances]:
         assert not D._axiom_instance(phi), phi
         assert not _is_settled_as_an_axiom(phi), phi
     changed = [phi for chi in D.lr2_axioms()[1:] for phi in _changed_clauses(chi)]
@@ -160,6 +162,18 @@ def test_non_instances_are_not_matched():
         assert not D._axiom_instance(phi), phi
         assert not _is_settled_as_an_axiom(phi), phi
         assert repr(D.decide_lr2(phi, 4)) == repr(reference_scan_decide_lr2(phi, 4)), phi
+
+
+def test_instances_with_constants_are_matched_and_agree_with_the_scan():
+    # random_formula yields T and F only over no variables, so the seeded
+    # instances hold no arity-0 op
+    sub = {"p0": fm.Top(), "p1": fm.Not(fm.Var("q")), "p2": fm.Var("p2"), "p3": fm.Var("p3")}
+    chi = _substitute(D.lr2_axioms()[1], sub)
+    for phi in [fm.parse("[]<>T -> <>[]T"), fm.parse("[]<>~F -> <>[]~F"), chi]:
+        assert D._axiom_instance(phi), fm.render(phi)
+        verdict = D.decide_lr2(phi, 4)
+        assert verdict == D.NoCountermodelUpTo(4)
+        assert repr(verdict) == repr(reference_scan_decide_lr2(phi, 4)), fm.render(phi)
 
 
 def test_a_matched_query_scans_only_the_one_world_frame(monkeypatch):
@@ -432,6 +446,21 @@ def test_over_budget_frame_formula_is_refuted_by_its_map():
     many = fm.conj([fm.parse(f"p{i} -> p{i}") for i in range(14)])
     with pytest.raises(BudgetExceededError):
         D.decide_lr2(many, 2)
+
+
+def test_an_over_budget_frame_formula_searches_each_two_roach_once(monkeypatch):
+    # the countermodel is read off the map the permissibility check found,
+    # so the refuting frame is not searched a second time
+    chain6 = R.builtin("chain", 6)
+    hosts, is_permissible = [], M.is_permissible
+    monkeypatch.setattr(M, "is_permissible",
+                        lambda config, host: hosts.append(host) or is_permissible(config, host))
+    verdict = D.decide_lr2(fm.fine_jankov(chain6), 6)
+    assert len(hosts) == len({(h.size, h.up) for h in hosts}) == 68
+    assert hosts[-1] is verdict.model.frame
+    assert F.are_isomorphic(verdict.model.frame, chain6)
+    assert verdict.world == 0
+    assert verdict.model.valuation == {f"p{w}": {w} for w in range(6)}
 
 
 def test_map_refutations_refute_on_the_frames_the_scan_finds(monkeypatch, small_frames):
